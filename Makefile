@@ -48,10 +48,9 @@ resume-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_smoke.py --resume
 
 ## resident scan-service bench; regenerates BENCH_service.json — cold
-## vs. warm submit-to-result latency over the TCP protocol (the warm
-## run must hit the snapshot cache), queue wait under a concurrent
-## burst, duplicate coalescing; identity vs. the standalone engine
-## always asserted
+## submit-to-result latency over the TCP protocol, queue wait under a
+## concurrent burst, duplicate coalescing; identity vs. the standalone
+## engine always asserted
 service-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_smoke.py --service
 
@@ -64,7 +63,7 @@ failover-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_smoke.py --failover
 
 ## end-to-end full-scale bench (sequential vs. parallel vs. pre-screen
-## off vs. snapshot warm-start, identity always asserted); regenerates
+## off, identity always asserted); regenerates
 ## BENCH_fullscale.json and PROFILE_wildscan.json. Scale 1.0 takes
 ## minutes — override with e.g. `make fullscale-smoke SCALE=0.05`
 SCALE ?= 1.0

@@ -39,16 +39,15 @@ identity always asserted), regenerating ``BENCH_resume.json``::
     PYTHONPATH=src python benchmarks/run_smoke.py --resume
 
 ``--service`` benches the resident scan service (one in-process server,
-clients over TCP): cold vs. warm submit-to-result latency (the warm run
-must hit the snapshot cache), queue wait under a concurrent burst, and
-duplicate coalescing — identity vs. the standalone engine always
+clients over TCP): cold submit-to-result latency, queue wait under a
+concurrent burst, and duplicate coalescing — identity vs. the standalone engine always
 asserted — regenerating ``BENCH_service.json``::
 
     PYTHONPATH=src python benchmarks/run_smoke.py --service
 
 ``--fullscale`` runs the end-to-end full-scale bench (sequential vs.
-parallel vs. pre-screen-off vs. snapshot-warm-start, identity always
-asserted via the wire encoding), regenerating ``BENCH_fullscale.json``
+parallel vs. pre-screen-off, identity always asserted via the wire
+encoding), regenerating ``BENCH_fullscale.json``
 and ``PROFILE_wildscan.json``. The default ``--scale 1.0`` takes
 minutes; pass a smaller scale for a quick pass::
 
@@ -174,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
                         "in the precision pool (default 24)")
     parser.add_argument("--service", action="store_true",
                         help="bench the resident scan service "
-                        "(BENCH_service.json): cold vs. warm submit-to-result "
+                        "(BENCH_service.json): cold submit-to-result "
                         "latency over TCP, queue wait under a concurrent "
                         "burst, duplicate coalescing; identity vs. the "
                         "standalone engine always asserted")
@@ -187,8 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fullscale", action="store_true",
                         help="bench the end-to-end scan (BENCH_fullscale.json "
                         "+ PROFILE_wildscan.json): sequential vs. parallel "
-                        "vs. pre-screen-off vs. warm-start, identity always "
-                        "asserted; defaults to --scale 1.0")
+                        "vs. pre-screen-off, identity always asserted; "
+                        "defaults to --scale 1.0")
     parser.add_argument("--profile-out", type=Path, default=None,
                         help="fullscale only: stage-profile artifact path "
                         "(default PROFILE_wildscan.json)")

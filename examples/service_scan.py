@@ -1,4 +1,4 @@
-"""Resident scan service: submit, coalesce, warm-start, restart, page.
+"""Resident scan service: submit, coalesce, restart, page.
 
 Run::
 
@@ -12,13 +12,10 @@ lifecycle a long-lived deployment cares about:
 1. submit a scan over TCP and poll it to completion;
 2. submit the *same* config again — it coalesces onto the completed run
    (the run id is the config digest, so nothing scans twice);
-3. submit a different seed over the same shard layout — the warm-entity
-   cache hands every shard its context snapshot, skipping the world
-   rebuilds;
-4. stop the service, start a fresh one over the same data dir — the new
+3. stop the service, start a fresh one over the same data dir — the new
    process adopts the persisted ledgers and serves the old results
    without re-scanning;
-5. page the detections out of the completed ledger.
+4. page the detections out of the completed ledger.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ def main() -> None:
                 host, port = server.address
                 print(f"scan service on {host}:{port} (data dir {data_dir})\n")
                 with ServiceClient(server.address) as client:
-                    # 1. cold submit: includes every shard's world build.
+                    # 1. submit and poll to completion.
                     config = WildScanConfig(scale=scale, seed=7, shards=4)
                     run = client.submit(config)
                     print(f"submitted {run['run_id']} ({run['state']})")
@@ -47,8 +44,7 @@ def main() -> None:
                     summary = done["summary"]
                     print(
                         f"  completed: {summary['detected']} detections / "
-                        f"{summary['total_transactions']} txs, warm hits "
-                        f"{done['warm_hits']}/{done['warm_hits'] + done['warm_misses']}\n"
+                        f"{summary['total_transactions']} txs\n"
                     )
 
                     # 2. duplicate submit: coalesces, nothing re-scans.
@@ -58,21 +54,9 @@ def main() -> None:
                         f"(coalesced={again['coalesced']}, "
                         f"state={again['state']})\n"
                     )
-
-                    # 3. warm submit: same shard layout, different seed.
-                    warm = client.submit(
-                        WildScanConfig(scale=scale, seed=11, shards=4)
-                    )
-                    warm_done = client.wait(warm["run_id"])
-                    print(
-                        f"warm run {warm['run_id']}: snapshot-cache hits "
-                        f"{warm_done['warm_hits']}/"
-                        f"{warm_done['warm_hits'] + warm_done['warm_misses']} "
-                        f"(world rebuilds skipped)\n"
-                    )
                     cold_id = run["run_id"]
 
-        # 4. restart: a new service over the same data dir adopts the
+        # 3. restart: a new service over the same data dir adopts the
         # persisted ledgers and serves results without re-scanning.
         with ScanService(data_dir, executors=2) as revived:
             with ServiceServer(revived) as server:
@@ -83,7 +67,7 @@ def main() -> None:
                         f"(served from the persisted ledger)"
                     )
 
-                    # 5. page the detections straight out of the journal.
+                    # 4. page the detections straight out of the journal.
                     page = client.results(cold_id, offset=0, limit=5)
                     print(
                         f"  page 1: {page['count']} of "

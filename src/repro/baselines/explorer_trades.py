@@ -61,7 +61,7 @@ class ExplorerLeiShen:
         borrower_tag = self.tagger.tag_of(flash_loans[0].borrower)
         return self.matcher.match(trades, borrower_tag)
 
-    # -- event -> trade lifting ----------------------------------------------
+    # -- event -> trade mapping -----------------------------------------------
 
     def extract_trades(self, trace: TransactionTrace) -> list[Trade]:
         trades: list[Trade] = []

@@ -61,7 +61,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..engine.plan import build_full_schedule
-from ..engine.scan import context_snapshot_for, merge_shard_results, run_shard
+from ..engine.scan import merge_shard_results, run_shard
 from ..engine.wire import config_to_wire, shard_result_from_wire, shard_result_to_wire
 from .protocol import (
     PROTOCOL_VERSION,
@@ -756,17 +756,6 @@ class Coordinator:
                 "shard": shard,
                 "shard_count": self.shard_count,
             }
-            # warm-start hint: if this process already built a world with
-            # the shard's chain name (local fallback, thread workers, a
-            # previous assignment — any seed/scale, since the build
-            # consumes no RNG), ship the full context snapshot (tagger
-            # label-sync state + pre-screen address table) so the worker
-            # skips both cold scans. Workers validate it against their
-            # freshly built chain — a mismatch is ignored, never applied,
-            # so the hint cannot change results.
-            snapshot = context_snapshot_for(shard, self.shard_count)
-            if snapshot is not None:
-                assignment["context_snapshot"] = snapshot.to_wire()
             if getattr(self.config, "profile", False):
                 assignment["profile"] = True
             send_message(conn, assignment)

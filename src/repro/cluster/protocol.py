@@ -60,16 +60,19 @@ __all__ = [
 #: v2: coordinator→worker ``heartbeat`` park pings (a v1 worker would
 #: treat them as a protocol error while parked).
 #: v3: versioned wire payloads (``"v"`` on config and shard-result
-#: frames, strict field validation) and the optional ``tag_snapshot``
-#: warm-start hint on ``assign``.
-#: v4: full ``context_snapshot`` warm-start capsules (tagger + pre-screen
-#: state) on ``assign``, plus the optional ``profile`` request flag on
+#: frames, strict field validation) and an optional tagger warm-start
+#: hint on ``assign``.
+#: v4: full shard-context warm-start hints (tagger + pre-screen state)
+#: on ``assign``, plus the optional ``profile`` request flag on
 #: ``assign`` and the per-shard ``profile`` payload on ``result``.
 #: v5: hot-standby failover — ``welcome`` carries a ``failover`` address
 #: list that workers merge into their connect list, and workers accept a
 #: multi-address connect list, rotating through it in the reconnect loop
 #: (a v4 worker pinned to one address would strand itself when the
 #: primary coordinator dies).
+#: The v3 and v4 warm-start hints are retired: coordinators no longer
+#: send them and workers ignore them. Both were optional fields read
+#: with ``.get``, so dropping them needs no version bump.
 PROTOCOL_VERSION = 5
 
 #: upper bound on one frame; full-scale shard results stay far below this.

@@ -382,11 +382,7 @@ class ClusterWorker:
                 )
             parts = parts_cache[cache_key] = shard_schedule(tasks, shard_count)
         try:
-            ctx = build_shard_context(
-                config, shard, shard_count,
-                tag_snapshot=message.get("tag_snapshot"),
-                context_snapshot=message.get("context_snapshot"),
-            )
+            ctx = build_shard_context(config, shard, shard_count)
             prof = ctx.profiler
             for number, task in enumerate(parts[shard]):
                 if self.task_hook is not None:

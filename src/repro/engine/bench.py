@@ -635,27 +635,25 @@ def run_fullscale_bench(
 ) -> dict:
     """The end-to-end full-scale benchmark: scale-1.0 scans, all paths.
 
-    Four measured configurations over the same ``(seed, scale, shards)``:
+    Three measured configurations over the same ``(seed, scale, shards)``:
 
-    1. **sequential** (``jobs=1``) — the reference run;
+    1. **sequential** (``jobs=1``) — the reference run; it also profiles
+       (``profile=True``) and its merged stage profile is written to
+       ``profile_path`` when given;
     2. **parallel** — one run per remaining ``jobs_values`` entry
        (default: the effective CPU count), chunk-submitted over the
        process pool;
-    3. **pre-screen off** — the fastest jobs value with ``prescreen=False``;
-    4. **warm-start** — a sequential rerun in the same process, so every
-       shard build amortizes through the context-snapshot cache; this run
-       also profiles (``profile=True``) and its merged stage profile is
-       written to ``profile_path`` when given.
+    3. **pre-screen off** — the fastest jobs value with ``prescreen=False``.
 
     The identity assertion is always on: every run's detections must be
     byte-identical (via the wire encoding) to the sequential reference —
-    across jobs counts, with/without pre-screen, with/without snapshot
-    warm-start. Wall-clock lands in the report only; speedup enforcement
-    lives in ``benchmarks/test_bench_fullscale.py`` behind
+    across jobs counts and with/without pre-screen. Wall-clock lands in
+    the report only; speedup enforcement lives in
+    ``benchmarks/test_bench_fullscale.py`` behind
     ``REPRO_BENCH_STRICT=1`` (a 1-CPU runner cannot beat sequential).
     """
     from ..workload.generator import WildScanConfig
-    from .scan import ScanEngine, clear_context_snapshots
+    from .scan import ScanEngine
     from .wire import detection_to_wire
 
     cpus = effective_cpu_count()
@@ -687,11 +685,14 @@ def run_fullscale_bench(
     runs = []
     reference = None
     total = detected = 0
-    warm_result = warm_elapsed = warm_engine = None
+    profiled_engine = None
     for jobs in jobs_values:
-        clear_context_snapshots()  # cold build per run: honest timings
-        config = WildScanConfig(scale=scale, seed=seed, jobs=jobs, shards=shards)
-        result, elapsed, _ = timed_run(config)
+        config = WildScanConfig(
+            scale=scale, seed=seed, jobs=jobs, shards=shards, profile=jobs == 1
+        )
+        result, elapsed, engine = timed_run(config)
+        if jobs == 1:
+            profiled_engine = engine
         fp = fingerprint(result)
         if reference is None:
             reference = fp
@@ -709,21 +710,6 @@ def run_fullscale_bench(
                 "detected": detected,
             }
         )
-        if jobs == 1:
-            # 4. warm start, measured while the sequential run's in-process
-            # snapshot cache is still hot (parallel runs build in worker
-            # subprocesses, so the parent cache would be cold afterwards).
-            # This run also profiles; the merged stage profile is the one
-            # written to ``profile_path``.
-            warm_config = WildScanConfig(
-                scale=scale, seed=seed, jobs=1, shards=shards, profile=True
-            )
-            warm_result, warm_elapsed, warm_engine = timed_run(warm_config)
-            if fingerprint(warm_result) != reference:
-                raise AssertionError(
-                    "identity violation: snapshot warm-start changed the "
-                    "detections"
-                )
 
     by_jobs = {run["jobs"]: run for run in runs}
     sequential_elapsed = by_jobs[1]["elapsed_s"]
@@ -738,7 +724,6 @@ def run_fullscale_bench(
         fastest_jobs = 1
 
     # 3. pre-screen off: the skip must be invisible in the result bytes.
-    clear_context_snapshots()
     off_config = WildScanConfig(
         scale=scale, seed=seed, jobs=fastest_jobs, shards=shards, prescreen=False
     )
@@ -747,8 +732,6 @@ def run_fullscale_bench(
         raise AssertionError(
             "identity violation: disabling the pre-screen changed the detections"
         )
-
-    warm_counters = (warm_engine.profile or {}).get("counters", {})
 
     report = {
         "benchmark": "fullscale_wildscan",
@@ -766,23 +749,12 @@ def run_fullscale_bench(
             "elapsed_s": round(off_elapsed, 4),
             "identical": True,
         },
-        "warm_start_run": {
-            "jobs": 1,
-            "elapsed_s": round(warm_elapsed, 4),
-            "identical": True,
-            "warm_starts": warm_counters.get("warm_starts", 0),
-            "speedup_vs_cold_sequential": round(
-                sequential_elapsed / warm_elapsed, 2
-            )
-            if warm_elapsed
-            else None,
-        },
     }
-    if profile_path is not None and warm_engine.profile is not None:
+    if profile_path is not None and profiled_engine.profile is not None:
         from ..runtime.profile import write_profile
 
         report["profile_artifact"] = str(
-            write_profile(warm_engine.profile, profile_path)
+            write_profile(profiled_engine.profile, profile_path)
         )
     return report
 
@@ -1106,51 +1078,39 @@ def run_service_bench(
     One service process, talked to over its TCP protocol, measures the
     latencies a multi-tenant deployment cares about:
 
-    1. **cold submit** — empty data dir, empty warm cache: submit-to-
-       result includes the world builds;
-    2. **warm submit** — a different seed over the same shard layout:
-       the warm-entity cache primes every shard's context snapshot, so
-       the run must record warm hits and skip the world rebuilds;
-    3. **burst** — ``burst`` distinct configs submitted concurrently
+    1. **cold submit** — empty data dir: submit-to-result includes the
+       world builds;
+    2. **burst** — ``burst`` distinct configs submitted concurrently
        from separate client connections plus one duplicate of the first
        (which must coalesce, not scan): per-run queue wait is the gap
        between submission and execution start.
 
-    Identity is always asserted: the cold and warm runs' paged-out
-    detections must match a standalone :class:`ScanEngine` run of the
-    same config wire-byte for wire-byte, and a paged fetch must equal
-    the unpaged one. Wall-clock budgets live in
-    ``benchmarks/test_bench_service.py`` behind ``REPRO_BENCH_STRICT=1``.
+    Identity is always asserted: the cold run's paged-out detections
+    must match a standalone :class:`ScanEngine` run of the same config
+    wire-byte for wire-byte, and a paged fetch must equal the unpaged
+    one. Wall-clock is recorded, not gated.
     """
     import tempfile
     import threading
 
     from ..service import ScanService, ServiceClient, ServiceServer
     from ..workload.generator import WildScanConfig
-    from .scan import ScanEngine, clear_context_snapshots
+    from .scan import ScanEngine
     from .wire import detection_to_wire
 
     if burst < 2:
         raise ValueError(f"burst must be >= 2, got {burst}")
 
     cold_config = WildScanConfig(scale=scale, seed=seed, shards=shards)
-    warm_config = WildScanConfig(scale=scale, seed=seed + 1, shards=shards)
+    cold_reference = [
+        detection_to_wire(d) for d in ScanEngine(cold_config).run().detections
+    ]
 
-    def reference_wire(config) -> list[dict]:
-        return [detection_to_wire(d) for d in ScanEngine(config).run().detections]
-
-    cold_reference = reference_wire(cold_config)
-    warm_reference = reference_wire(warm_config)
-    # the references above warmed the process-level snapshot store; drop
-    # it so the service's first run is honestly cold.
-    clear_context_snapshots()
-
-    def check_identity(client, run_id: str, reference: list[dict], label: str):
-        page = client.results(run_id)
-        if page["detections"] != reference:
+    def check_identity(client, run_id: str) -> None:
+        if client.results(run_id)["detections"] != cold_reference:
             raise AssertionError(
-                f"identity violation: the service's {label} run diverged "
-                f"from the standalone engine"
+                "identity violation: the service's cold run diverged "
+                "from the standalone engine"
             )
         paged: list[dict] = []
         offset = 0
@@ -1160,42 +1120,26 @@ def run_service_bench(
             if chunk["next_offset"] is None:
                 break
             offset = chunk["next_offset"]
-        if paged != reference:
+        if paged != cold_reference:
             raise AssertionError(
-                f"identity violation: paged fetch of the {label} run "
-                f"differs from the unpaged merge"
+                "identity violation: paged fetch of the cold run "
+                "differs from the unpaged merge"
             )
-        return page
 
     with tempfile.TemporaryDirectory(prefix="repro-service-bench-") as tmp:
-        service = ScanService(
-            tmp, executors=executors, max_queue=max(burst + 2, 8), warm_ttl=None
-        )
+        service = ScanService(tmp, executors=executors, max_queue=max(burst + 2, 8))
         with service, ServiceServer(service) as server:
             with ServiceClient(server.address) as client:
                 # 1. cold: includes every shard's world build.
                 start = time.perf_counter()
                 cold_run = client.submit(cold_config)
                 cold_view = client.wait(cold_run["run_id"], timeout=600)
-                check_identity(client, cold_run["run_id"], cold_reference, "cold")
+                check_identity(client, cold_run["run_id"])
                 cold_elapsed = time.perf_counter() - start
                 if cold_view["state"] != "completed":
                     raise AssertionError(f"cold run ended {cold_view['state']}")
 
-                # 2. warm: same shard layout, different seed — the warm
-                # cache must hand back every context snapshot.
-                start = time.perf_counter()
-                warm_run = client.submit(warm_config)
-                warm_view = client.wait(warm_run["run_id"], timeout=600)
-                check_identity(client, warm_run["run_id"], warm_reference, "warm")
-                warm_elapsed = time.perf_counter() - start
-                if warm_view["warm_hits"] < 1:
-                    raise AssertionError(
-                        "warm run recorded no snapshot-cache hits — the "
-                        "warm-entity tier is not priming the engine store"
-                    )
-
-            # 3. burst: distinct configs from concurrent connections,
+            # 2. burst: distinct configs from concurrent connections,
             # plus one duplicate that must coalesce instead of scanning.
             burst_configs = [
                 WildScanConfig(scale=scale, seed=seed + 10 + i, shards=shards)
@@ -1237,7 +1181,6 @@ def run_service_bench(
             ]
             stats = service.stats()
 
-    speedup = round(cold_elapsed / warm_elapsed, 2) if warm_elapsed else None
     return {
         "benchmark": "scan_service",
         "scale": scale,
@@ -1248,15 +1191,7 @@ def run_service_bench(
         "os_cpu_count": os.cpu_count(),
         "cold_run": {
             "submit_to_result_s": round(cold_elapsed, 4),
-            "warm_hits": cold_view["warm_hits"],
-            "warm_misses": cold_view["warm_misses"],
             "detected": len(cold_reference),
-        },
-        "warm_run": {
-            "submit_to_result_s": round(warm_elapsed, 4),
-            "warm_hits": warm_view["warm_hits"],
-            "warm_misses": warm_view["warm_misses"],
-            "detected": len(warm_reference),
         },
         "burst": {
             "runs": burst,
@@ -1265,7 +1200,6 @@ def run_service_bench(
             "max_queue_wait_s": max(queue_waits),
             "coalesced_duplicates": stats["counters"]["coalesced"],
         },
-        "speedup_warm_vs_cold": speedup,
     }
 
 

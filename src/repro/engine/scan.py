@@ -38,25 +38,15 @@ from .plan import (
 __all__ = [
     "ScanEngine",
     "ShardContext",
-    "ShardContextSnapshot",
     "ShardResult",
-    "SnapshotStore",
     "build_replay_context",
     "build_shard_context",
-    "clear_context_snapshots",
-    "clear_tag_snapshots",
-    "context_snapshot_for",
-    "context_snapshot_stats",
     "detect_task",
     "execute_task",
     "finalize_shard",
-    "install_context_snapshot",
     "merge_shard_results",
     "run_shard",
     "run_shard_batch",
-    "set_context_snapshot_limit",
-    "shard_chain_name",
-    "tag_snapshot_for",
 ]
 
 
@@ -116,245 +106,11 @@ class ShardContext:
     profiler: object = None
 
 
-@dataclass(slots=True)
-class ShardContextSnapshot:
-    """Everything needed to warm-start one shard-world build.
-
-    Extends the PR-5 tag-cache snapshot into a full context checkpoint:
-    the tagger's label-sync state, the pre-screen's harvested address
-    table, and the detector construction inputs recorded for validation.
-    The capsule is plain-dict/JSON-safe so the cluster coordinator can
-    ship it inside an assignment message and a cold worker can skip both
-    the label sync and the pre-screen harvest.
-
-    Both consumers re-validate against the chain they actually built
-    (version counters inside ``tag_snapshot``/``prescreen``), so a stale
-    or mismatched snapshot is silently ignored and can never change a
-    result byte — warm-starting is purely an amortization.
-    """
-
-    #: the shard world's chain name — the snapshot's identity. The world
-    #: build consumes no RNG, so the post-build chain state (creations,
-    #: labels, contracts) is a pure function of the chain name alone,
-    #: independent of seed/scale/shard_count. One snapshot therefore
-    #: warms every configuration whose shard maps to the same name.
-    chain_name: str
-    #: tagger label-sync state (:meth:`AccountTagger.label_sync_snapshot`).
-    tag_snapshot: dict
-    #: pre-screen address table (:meth:`PreScreen.to_wire`), or ``None``
-    #: when the originating build ran with screening disabled.
-    prescreen: dict | None = None
-    #: detector construction inputs at snapshot time, for validation and
-    #: observability (never replayed into a build).
-    build_params: dict = field(default_factory=dict)
-
-    def to_wire(self) -> dict:
-        return {
-            "chain_name": self.chain_name,
-            "tag_snapshot": self.tag_snapshot,
-            "prescreen": self.prescreen,
-            "build_params": dict(self.build_params),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "ShardContextSnapshot | None":
-        """Decode a shipped snapshot; ``None`` for malformed payloads
-        (a worker on a newer/older peer just cold-builds instead)."""
-        if not isinstance(payload, dict):
-            return None
-        chain_name = payload.get("chain_name")
-        tag_snapshot = payload.get("tag_snapshot")
-        if not isinstance(chain_name, str) or not isinstance(tag_snapshot, dict):
-            return None
-        prescreen = payload.get("prescreen")
-        if prescreen is not None and not isinstance(prescreen, dict):
-            prescreen = None
-        build_params = payload.get("build_params")
-        return cls(
-            chain_name=chain_name,
-            tag_snapshot=tag_snapshot,
-            prescreen=prescreen,
-            build_params=dict(build_params) if isinstance(build_params, dict) else {},
-        )
-
-
-class SnapshotStore:
-    """Bounded LRU of :class:`ShardContextSnapshot` keyed by chain name.
-
-    The process-level warm-start store behind ``build_shard_context``:
-    in a one-shot scan an unbounded dict would be harmless, but a
-    long-lived process (:mod:`repro.service`) builds worlds for every
-    shard count it is ever asked to run, so the store must evict. A hit
-    refreshes recency (true LRU, not FIFO), an insert over
-    ``max_entries`` evicts the least recently used entry, and
-    ``set_max_entries`` re-bounds a live store, evicting down if needed.
-    Hit/miss/eviction counters feed the service's cache stats. All
-    operations take an internal lock: the scan service builds shard
-    worlds from several executor threads at once.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        import threading
-        from collections import OrderedDict
-
-        self._entries: "OrderedDict[str, ShardContextSnapshot]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._entries
-
-    def get(self, name: str) -> ShardContextSnapshot | None:
-        with self._lock:
-            snapshot = self._entries.get(name)
-            if snapshot is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(name)
-            self.hits += 1
-            return snapshot
-
-    def put(self, name: str, snapshot: ShardContextSnapshot) -> None:
-        with self._lock:
-            if name in self._entries:
-                self._entries.move_to_end(name)
-            self._entries[name] = snapshot
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def set_max_entries(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        with self._lock:
-            self.max_entries = max_entries
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def names(self) -> list[str]:
-        """Resident chain names, least recently used first."""
-        with self._lock:
-            return list(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
-#: Process-level cache of context snapshots keyed by chain name (see
-#: :class:`ShardContextSnapshot` for why the name alone is the identity).
-#: Any rebuild of a same-named shard world in this process — bench
-#: repeats, in-process pool fallback, cluster requeues on a reused
-#: worker, *and* different seed/scale runs — warm-starts from the first
-#: build instead of re-scanning creations and labels. This store also
-#: holds the PR-5 tag-sync snapshots (they ride inside the context
-#: snapshot), so one LRU bound covers both.
-_CONTEXT_SNAPSHOTS = SnapshotStore()
-
-
-def clear_context_snapshots() -> None:
-    """Drop the process-level context-snapshot cache (test isolation)."""
-    _CONTEXT_SNAPSHOTS.clear()
-
-
-#: Back-compat alias (PR-5 name; same cache, broader contents now).
-clear_tag_snapshots = clear_context_snapshots
-
-
-def set_context_snapshot_limit(max_entries: int) -> None:
-    """Re-bound the process-level snapshot store (evicting LRU-first)."""
-    _CONTEXT_SNAPSHOTS.set_max_entries(max_entries)
-
-
-def context_snapshot_stats() -> dict:
-    """Hit/miss/eviction counters of the process-level snapshot store."""
-    return _CONTEXT_SNAPSHOTS.stats()
-
-
-def install_context_snapshot(snapshot: ShardContextSnapshot) -> None:
-    """Seed the process-level store with a snapshot kept elsewhere.
-
-    The scan service's warm-entity cache re-installs snapshots it held
-    across runs (its TTL tier outlives the engine store's LRU bound);
-    ``build_shard_context`` re-validates against the freshly built chain
-    as always, so installing a stale capsule is safe."""
-    _CONTEXT_SNAPSHOTS.put(snapshot.chain_name, snapshot)
-
-
-def shard_chain_name(shard_index: int, shard_count: int) -> str:
-    """The chain name one shard's world will carry — the identity under
-    which its context snapshot is cached (and shipped/primed by the
-    cluster coordinator and the scan service)."""
-    return _shard_profile(shard_index, shard_count).chain_name
-
-
-_shard_chain_name = shard_chain_name
-
-
-def context_snapshot_for(
-    shard_index: int, shard_count: int
-) -> ShardContextSnapshot | None:
-    """The cached context snapshot for one shard build, if this process
-    has built a world with that shard's chain name before (the cluster
-    coordinator attaches it to assignments so workers warm-start)."""
-    return _CONTEXT_SNAPSHOTS.get(_shard_chain_name(shard_index, shard_count))
-
-
-def tag_snapshot_for(
-    seed: int, scale: float, shard_index: int, shard_count: int
-) -> dict | None:
-    """The cached tag-sync snapshot for one shard build (PR-5 API).
-
-    ``seed``/``scale`` are accepted for signature compatibility but do
-    not narrow the lookup: the world build consumes no RNG, so the
-    snapshot is valid for every seed/scale sharing the chain name.
-    """
-    del seed, scale  # not part of the build identity
-    snapshot = context_snapshot_for(shard_index, shard_count)
-    return snapshot.tag_snapshot if snapshot is not None else None
-
-
-def build_shard_context(
-    cfg,
-    shard_index: int,
-    shard_count: int,
-    tag_snapshot: dict | None = None,
-    context_snapshot: "ShardContextSnapshot | dict | None" = None,
-) -> ShardContext:
+def build_shard_context(cfg, shard_index: int, shard_count: int) -> ShardContext:
     """Build one shard's world and detector stack from ``(cfg, shard)``.
 
     Everything downstream is a pure function of these inputs, which is
     what makes batch and streaming execution interchangeable.
-
-    ``context_snapshot`` (a :class:`ShardContextSnapshot` or its wire
-    dict) warm-starts both the detector's account tagger and the flash
-    loan pre-screen; ``tag_snapshot`` is the narrower PR-5 form carrying
-    the tagger state only. Either kind is re-validated against the
-    freshly built chain and ignored on mismatch, so a stale snapshot can
-    never change the result. Builds also consult (and populate) the
-    process-level snapshot cache keyed by chain name, so repeated builds
-    of a same-named shard world skip the cold syncs automatically.
     """
     # local imports keep worker startup lean under the spawn start method
     from ..leishen.heuristics import YieldAggregatorHeuristic
@@ -372,49 +128,17 @@ def build_shard_context(
     world.chain.keep_history = cfg.keep_history
     market = WildMarket(world, rng)
     injector = WildAttackInjector(market, rng, cfg.scale)
-    chain_name = world.chain.name
-    if isinstance(context_snapshot, dict):
-        context_snapshot = ShardContextSnapshot.from_wire(context_snapshot)
-    if context_snapshot is None:
-        context_snapshot = _CONTEXT_SNAPSHOTS.get(chain_name)
-    if context_snapshot is not None and context_snapshot.chain_name != chain_name:
-        context_snapshot = None
-    if tag_snapshot is None and context_snapshot is not None:
-        tag_snapshot = context_snapshot.tag_snapshot
     if cfg.pattern_config is not None:
-        detector = world.detector(patterns=cfg.pattern_config, tag_snapshot=tag_snapshot)
+        detector = world.detector(patterns=cfg.pattern_config)
     else:
-        detector = world.detector(tag_snapshot=tag_snapshot)
-    prescreen = None
-    if getattr(cfg, "prescreen", True):
-        snapshot_table = (
-            context_snapshot.prescreen if context_snapshot is not None else None
-        )
-        if snapshot_table is not None:
-            # from_wire validates the table's sync counters against the
-            # chain and cold-harvests on any mismatch.
-            prescreen = PreScreen.from_wire(snapshot_table, chain=world.chain)
-        else:
-            prescreen = PreScreen(world.chain)
-    if chain_name not in _CONTEXT_SNAPSHOTS:
-        _CONTEXT_SNAPSHOTS.put(chain_name, ShardContextSnapshot(
-            chain_name=chain_name,
-            tag_snapshot=detector.tagger.label_sync_snapshot(),
-            prescreen=prescreen.to_wire() if prescreen is not None else None,
-            build_params={
-                "shard_count": shard_count,
-                "keep_history": bool(cfg.keep_history),
-                "chain_version": world.chain.version,
-            },
-        ))
+        detector = world.detector()
+    prescreen = PreScreen() if getattr(cfg, "prescreen", True) else None
     profiler = None
     if profiling:
         from ..runtime.profile import StageProfiler
 
         profiler = StageProfiler()
         profiler.add("build_context", perf_counter_ns() - started)
-        if tag_snapshot is not None or context_snapshot is not None:
-            profiler.count("warm_starts")
         detector.profiler = profiler
     return ShardContext(
         cfg=cfg,
@@ -562,7 +286,6 @@ def finalize_shard(ctx: ShardContext) -> ShardResult:
         if prescreen is not None:
             prof.count("prescreen_admitted", prescreen.admitted)
             prof.count("prescreen_screened", prescreen.screened)
-            prof.count("prescreen_fast_hits", prescreen.fast_hits)
         ctx.result.profile = prof.to_dict()
     return ctx.result
 
@@ -572,28 +295,10 @@ def run_shard(args: tuple) -> ShardResult:
 
     Module-level (not a method) so it pickles under every multiprocessing
     start method. The payload is ``(cfg, shard_index, shard_count,
-    tasks)`` with an optional fifth element that warm-starts the build: a
-    full context-snapshot wire dict (distinguished by its ``chain_name``
-    key) or a bare PR-5 tag-sync snapshot. Either is ignored when it does
-    not match the freshly built chain.
+    tasks)``.
     """
-    cfg, shard_index, shard_count, tasks = args[:4]
-    snapshot = args[4] if len(args) > 4 else None
-    tag_snapshot = context_snapshot = None
-    if isinstance(snapshot, dict):
-        if "chain_name" in snapshot:
-            context_snapshot = snapshot
-        else:
-            tag_snapshot = snapshot
-    elif isinstance(snapshot, ShardContextSnapshot):
-        context_snapshot = snapshot
-    ctx = build_shard_context(
-        cfg,
-        shard_index,
-        shard_count,
-        tag_snapshot=tag_snapshot,
-        context_snapshot=context_snapshot,
-    )
+    cfg, shard_index, shard_count, tasks = args
+    ctx = build_shard_context(cfg, shard_index, shard_count)
     prof = ctx.profiler
     if prof is None:
         for task in tasks:
@@ -616,12 +321,9 @@ def run_shard_batch(payloads: list[tuple]) -> list[ShardResult]:
     """Worker entry point for chunked submission: run several shard
     payloads sequentially inside one worker process.
 
-    Chunking amortizes per-task pool overhead (pickling, dispatch) and —
-    because consecutive payloads of a striped chunk often rebuild
-    same-named shard worlds across scan repeats — lets the in-process
-    snapshot cache warm later builds. Results come back in payload order;
-    the caller owns merge ordering, so chunking never affects the merged
-    result.
+    Chunking amortizes per-task pool overhead (pickling, dispatch).
+    Results come back in payload order; the caller owns merge ordering,
+    so chunking never affects the merged result.
     """
     run = run_shard  # module-global lookup: tests may monkeypatch run_shard
     return [run(payload) for payload in payloads]

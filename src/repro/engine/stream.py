@@ -551,21 +551,12 @@ def screen_blocks(
     detector,
     blocks: Iterable[tuple[int, Sequence]],
     on_alert: Callable[[ScreenedTransaction], None] | None = None,
-    prescreen=None,
 ) -> Iterator[ScreenedTransaction]:
     """Screen recorded blocks — ``(number, traces)`` pairs, e.g. from
     :meth:`~repro.chain.explorer.ChainExplorer.blocks_between` — through a
     detector, yielding every flash-loan transaction in block order with
     its per-transaction detection latency. Non-flash-loan transactions
-    are skipped, as in the paper's deployment mode.
-
-    ``prescreen`` (a :class:`~repro.leishen.prescreen.PreScreen` over the
-    recording chain) is installed on the detector for the scan: replayed
-    history is dominated by non-flash-loan traffic, exactly where the
-    necessary-condition skip saves the most work without changing any
-    verdict."""
-    if prescreen is not None:
-        detector.prescreen = prescreen
+    are skipped, as in the paper's deployment mode."""
     for number, traces in blocks:
         for trace in traces:
             started = time.perf_counter()

@@ -210,6 +210,4 @@ def _run_line(view: dict) -> str:
         )
     if view["state"] == "completed" and view.get("summary"):
         parts.append(f"detections={view['summary']['detected']}")
-    if view.get("warm_hits") or view.get("warm_misses"):
-        parts.append(f"warm={view['warm_hits']}/{view['warm_hits'] + view['warm_misses']}")
     return "  ".join(parts)

@@ -53,10 +53,6 @@ class LeiShenConfig:
     #: ablation switch: skip tagging/simplification and run patterns on
     #: raw account-level transfers (DESIGN.md ablation 1).
     use_app_level_transfers: bool = True
-    #: execution knob for the lifting kernels: ``None`` auto-dispatches
-    #: on trace size, ``True``/``False`` pin the numpy/object path (see
-    #: :mod:`repro.leishen.lifting`). Never changes a result byte.
-    vectorize: bool | None = None
 
 
 class LeiShen:
@@ -67,22 +63,14 @@ class LeiShen:
         chain: "Chain",
         config: LeiShenConfig | None = None,
         labels: LabelDatabase | None = None,
-        tag_snapshot: dict | None = None,
     ) -> None:
         self.chain = chain
         self.config = config or LeiShenConfig()
         self.identifier = FlashLoanIdentifier()
-        self.tagger = AccountTagger(chain, labels, snapshot=tag_snapshot)
-        self.simplifier = TransferSimplifier(
-            self.config.simplifier, vectorize=self.config.vectorize
-        )
-        self.trade_identifier = TradeIdentifier(vectorize=self.config.vectorize)
+        self.tagger = AccountTagger(chain, labels)
+        self.simplifier = TransferSimplifier(self.config.simplifier)
+        self.trade_identifier = TradeIdentifier()
         self.matcher = PatternMatcher(self.config.patterns)
-        #: optional :class:`~repro.leishen.prescreen.PreScreen` consulted
-        #: before identification. Rejection is provably result-neutral
-        #: (the screen checks necessary conditions of the fingerprints),
-        #: so installing one never changes what ``analyze`` returns.
-        self.prescreen = None
         #: optional :class:`~repro.runtime.profile.StageProfiler`;
         #: ``None`` keeps the pipeline free of timing overhead.
         self.profiler = None
@@ -95,17 +83,6 @@ class LeiShen:
             return None
         prof = self.profiler
         now = perf_counter_ns if prof is not None else None
-        if self.prescreen is not None:
-            if prof is None:
-                if not self.prescreen.admits(trace):
-                    return None
-            else:
-                started = now()
-                admitted = self.prescreen.admits(trace)
-                prof.add("prescreen", now() - started)
-                if not admitted:
-                    prof.count("screened_out")
-                    return None
         if prof is None:
             flash_loans = self.identifier.identify(trace)
         else:

@@ -52,19 +52,8 @@ class FlashLoanIdentifier:
         loans.extend(self._identify_dydx(trace))
         return loans
 
-    def is_flash_loan_transaction(self, trace: TransactionTrace, prescreen=None) -> bool:
-        """Whether any provider fingerprint matches ``trace``.
-
-        With a :class:`~repro.leishen.prescreen.PreScreen`, the negative
-        verdict is decided on raw trace call/log markers (and confirmed
-        against the provider/pool address table) without running full
-        identification — the scan engine's hot-path skip. The screen
-        checks *necessary* conditions of the fingerprints, so
-        ``prescreen.admits(trace) == False`` implies ``identify(trace)``
-        is empty and the two paths always agree.
-        """
-        if prescreen is not None and not prescreen.admits(trace):
-            return False
+    def is_flash_loan_transaction(self, trace: TransactionTrace) -> bool:
+        """Whether any provider fingerprint matches ``trace``."""
         return bool(self.identify(trace))
 
     # -- Uniswap: swap followed by uniswapV2Call ---------------------------

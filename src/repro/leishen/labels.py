@@ -63,10 +63,6 @@ class LabelDatabase:
     def raw_label_of(self, address: Address) -> str | None:
         return self._raw.get(address)
 
-    def raw_items(self) -> Iterable[tuple[Address, str]]:
-        """``(address, raw label)`` pairs, for serialization/snapshots."""
-        return self._raw.items()
-
     def addresses_of_app(self, app: str) -> list[Address]:
         return [address for address, name in self._apps.items() if name == app]
 

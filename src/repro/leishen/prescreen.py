@@ -1,118 +1,24 @@
 """Cheap flash-loan pre-screen over raw traces (scan hot-path filter).
 
-The overwhelming majority of mainnet transactions contain no flash-loan
-borrow at all (the observation FlashSyn builds on), yet the naive scan
-runs every one of them through tagging, simplification and trade
-identification just so :class:`~repro.leishen.identify.FlashLoanIdentifier`
-can return an empty list. This module front-loads that verdict with two
-layers, both consulted *before* any tagging work:
-
-1. **Fingerprint markers** — a single fused pass over ``trace.calls``
-   and ``trace.logs`` checking the *necessary* conditions of the three
-   provider fingerprints of Table II: a ``swap`` call preceding a
-   ``uniswapV2Call`` call, a ``flashLoan`` call plus a ``FlashLoan``
-   event, or the full dYdX ``LogOperation``/``LogWithdraw``/``LogCall``/
-   ``LogDeposit`` event quadruple. A transaction failing all three can
-   *provably* not be identified as a flash-loan transaction, so the
-   pipeline may skip it without changing any result byte.
-2. **Provider/pool address table** — flash-loan provider accounts (the
-   AAVE lending pool, the dYdX solo margin) and factory-created pair
-   pools harvested from the chain's label/creation records, with a
-   deterministic Bloom filter (:class:`AddressBloom`) layered on top
-   once the table grows large. The table is advisory: it confirms
-   marker admits cheaply (``fast_hits``) and ships inside shard-context
-   snapshots so warm-started workers skip the harvest scan — but it is
-   **never the sole reason to reject**, because an attacker-deployed,
-   unlabelled provider must still reach the full identifier. Rejection
-   stays anchored on the provable marker conditions above; that is the
-   parity guarantee ``tests/engine/test_prescreen_parity.py`` pins.
-
-Like the account tagger, the table syncs incrementally against the
-chain's generation counters, so the per-transaction cost stays one
-integer comparison once the world is built.
+The naive scan would run every transaction through tagging,
+simplification and trade identification just so
+:class:`~repro.leishen.identify.FlashLoanIdentifier` can return an empty
+list. This module front-loads that verdict with a single fused pass over
+``trace.calls`` and ``trace.logs`` checking the *necessary* conditions of
+the three provider fingerprints of Table II: a ``swap`` call preceding a
+``uniswapV2Call`` call, a ``flashLoan`` call plus a ``FlashLoan`` event,
+or the full dYdX ``LogOperation``/``LogWithdraw``/``LogCall``/
+``LogDeposit`` event quadruple. A transaction failing all three can
+*provably* not be identified as a flash-loan transaction, so the scan may
+skip it without changing any result byte — the parity guarantee
+``tests/engine/test_prescreen_parity.py`` pins.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import TYPE_CHECKING
-
 from ..chain.trace import TransactionTrace
-from .labels import app_name_of_label
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..chain.chain import Chain
-
-__all__ = ["AddressBloom", "PreScreen", "BLOOM_THRESHOLD"]
-
-#: switch the address table's membership test to a Bloom filter once the
-#: exact set holds this many addresses (full-scale worlds stay below it;
-#: replayed mainnet history does not).
-BLOOM_THRESHOLD = 4096
-
-#: raw-label substrings marking a flash-loan *provider* account.
-_PROVIDER_MARKERS = ("Lending Pool", "Solo Margin")
-
-#: raw-label substring marking a pool *factory*; its creations are pools.
-_FACTORY_MARKER = "Factory"
-
-
-class AddressBloom:
-    """Deterministic Bloom filter over address strings.
-
-    Stdlib-only (``blake2b`` with per-probe salts — no third-party
-    ``mmh3``/``bitarray``), so membership bits are identical across
-    processes, hosts and Python builds: a filter serialized into a shard
-    snapshot answers exactly like the one it was captured from. False
-    positives only ever *admit* a transaction the markers already
-    admitted, never reject one, so Bloom error can't affect parity.
-    """
-
-    __slots__ = ("bits", "num_bits", "num_hashes", "count")
-
-    def __init__(self, capacity: int, bits_per_item: int = 10) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.num_bits = max(64, capacity * bits_per_item)
-        #: ~0.7 * bits/item approximates the optimal hash count (k = m/n ln2).
-        self.num_hashes = max(1, int(round(bits_per_item * 0.7)))
-        self.bits = bytearray((self.num_bits + 7) // 8)
-        self.count = 0
-
-    def _probes(self, item: str):
-        payload = item.encode("utf-8")
-        for salt in range(self.num_hashes):
-            digest = hashlib.blake2b(
-                payload, digest_size=8, salt=salt.to_bytes(8, "little")
-            ).digest()
-            yield int.from_bytes(digest, "big") % self.num_bits
-
-    def add(self, item: str) -> None:
-        for probe in self._probes(item):
-            self.bits[probe >> 3] |= 1 << (probe & 7)
-        self.count += 1
-
-    def __contains__(self, item: str) -> bool:
-        return all(
-            self.bits[probe >> 3] & (1 << (probe & 7)) for probe in self._probes(item)
-        )
-
-    def to_wire(self) -> dict:
-        return {
-            "num_bits": self.num_bits,
-            "num_hashes": self.num_hashes,
-            "count": self.count,
-            "bits": self.bits.hex(),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "AddressBloom":
-        bloom = cls.__new__(cls)
-        bloom.num_bits = payload["num_bits"]
-        bloom.num_hashes = payload["num_hashes"]
-        bloom.count = payload["count"]
-        bloom.bits = bytearray.fromhex(payload["bits"])
-        return bloom
+__all__ = ["PreScreen"]
 
 
 class PreScreen:
@@ -121,105 +27,24 @@ class PreScreen:
     ``admits(trace)`` returns ``False`` only when the trace provably
     cannot be identified as a flash-loan transaction (no provider
     fingerprint's necessary markers are present), so screening is
-    result-transparent by construction. Build one per shard context via
-    ``PreScreen(chain)``; it harvests and incrementally re-syncs the
-    provider/pool address table from the chain's labels and creations.
+    result-transparent by construction.
     """
 
-    __slots__ = (
-        "_chain",
-        "providers",
-        "pools",
-        "_factories",
-        "_bloom",
-        "_synced_version",
-        "_indexed_creations",
-        "_synced_labels",
-        "admitted",
-        "screened",
-        "fast_hits",
-    )
+    __slots__ = ("admitted", "screened")
 
-    def __init__(self, chain: "Chain | None" = None) -> None:
-        self._chain = chain
-        #: exact address tables (strings — raw trace addresses compare
-        #: without constructing Address objects).
-        self.providers: set[str] = set()
-        self.pools: set[str] = set()
-        self._factories: set[str] = set()
-        self._bloom: AddressBloom | None = None
-        self._synced_version = -1
-        self._indexed_creations = 0
-        self._synced_labels = 0
+    def __init__(self) -> None:
         #: lifetime counters (observability; surfaced by ``--profile``).
         self.admitted = 0
         self.screened = 0
-        self.fast_hits = 0
-        if chain is not None:
-            self._sync()
-
-    # -- address-table maintenance -----------------------------------------
-
-    def _sync(self) -> None:
-        """Bring the address table up to the chain's current generation."""
-        chain = self._chain
-        labels = chain.labels
-        if len(labels) != self._synced_labels:
-            for address, label in labels.items():
-                if any(marker in label for marker in _PROVIDER_MARKERS):
-                    self.providers.add(str(address))
-                elif _FACTORY_MARKER in label:
-                    self._factories.add(str(address))
-            self._synced_labels = len(labels)
-        creations = chain.creations
-        if len(creations) != self._indexed_creations:
-            factories = self._factories
-            for record in creations[self._indexed_creations :]:
-                if str(record.creator) in factories:
-                    self.pools.add(str(record.created))
-            self._indexed_creations = len(creations)
-        table_size = len(self.providers) + len(self.pools)
-        if self._bloom is None:
-            if table_size >= BLOOM_THRESHOLD:
-                self._rebuild_bloom()
-        elif self._bloom.count != table_size:
-            # the table grew since the filter was built: rebuild, because
-            # a Bloom filter supports no incremental deletion/merge and
-            # the exact sets stay authoritative anyway.
-            self._rebuild_bloom()
-        self._synced_version = chain.version
-
-    def _rebuild_bloom(self) -> None:
-        table = self.providers | self.pools
-        bloom = AddressBloom(max(len(table) * 2, BLOOM_THRESHOLD))
-        for address in table:
-            bloom.add(address)
-        self._bloom = bloom
-
-    def _known(self, address: str) -> bool:
-        if self._bloom is not None and address not in self._bloom:
-            return False  # definite miss: skip the exact-set probes
-        return address in self.providers or address in self.pools
-
-    @property
-    def table_size(self) -> int:
-        return len(self.providers) + len(self.pools)
-
-    # -- the screen itself --------------------------------------------------
 
     def admits(self, trace: TransactionTrace) -> bool:
         """``False`` iff ``trace`` provably contains no flash loan.
 
         One fused pass over calls, then (only if needed) one over logs,
         mirroring the necessary conditions of the three Table II
-        fingerprints exactly; see the module docstring for why rejection
-        never consults the address table.
+        fingerprints exactly.
         """
-        if self._chain is not None and self._synced_version != self._chain.version:
-            self._sync()
         saw_swap = saw_flash_loan_call = False
-        uniswap = False
-        provider_account: str | None = None
         for call in trace.calls:
             function = call.function
             if function == "swap":
@@ -228,80 +53,26 @@ class PreScreen:
                 if saw_swap:
                     # necessary condition of the Uniswap fingerprint: a
                     # swap opened before the pair called back.
-                    uniswap = True
-                    provider_account = str(call.caller)
-                    break
+                    self.admitted += 1
+                    return True
             elif function == "flashLoan":
                 saw_flash_loan_call = True
-        if uniswap:
-            self.admitted += 1
-            if provider_account is not None and self._known(provider_account):
-                self.fast_hits += 1
-            return True
         dydx_mask = 0
-        aave = False
         for log in trace.logs:
             event = log.event
             if saw_flash_loan_call and event == "FlashLoan":
-                aave = True
-                provider_account = str(log.emitter)
-                break
+                self.admitted += 1
+                return True
             if event == "LogOperation":
                 dydx_mask |= 1
             elif event == "LogWithdraw":
                 dydx_mask |= 2
-                provider_account = str(log.emitter)
             elif event == "LogCall":
                 dydx_mask |= 4
             elif event == "LogDeposit":
                 dydx_mask |= 8
             if dydx_mask == 15:
-                break
-        if aave or dydx_mask == 15:
-            self.admitted += 1
-            if provider_account is not None and self._known(provider_account):
-                self.fast_hits += 1
-            return True
+                self.admitted += 1
+                return True
         self.screened += 1
         return False
-
-    # -- snapshots (shard-context warm start) -------------------------------
-
-    def to_wire(self) -> dict:
-        """JSON-safe snapshot of the harvested address table."""
-        return {
-            "providers": sorted(self.providers),
-            "pools": sorted(self.pools),
-            "factories": sorted(self._factories),
-            "synced_version": self._synced_version,
-            "indexed_creations": self._indexed_creations,
-            "synced_labels": self._synced_labels,
-            "bloom": self._bloom.to_wire() if self._bloom is not None else None,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict, chain: "Chain | None" = None) -> "PreScreen":
-        """Rebuild a pre-screen from a snapshot, bound to ``chain``.
-
-        Counter validation mirrors the tag-snapshot contract: the
-        snapshot installs only when the chain is in exactly the recorded
-        generation; otherwise the table is harvested cold, so a stale
-        snapshot can never mask a provider.
-        """
-        if chain is not None and (
-            payload["synced_version"] != chain.version
-            or payload["indexed_creations"] != len(chain.creations)
-            or payload["synced_labels"] != len(chain.labels)
-        ):
-            return cls(chain)
-        screen = cls()
-        screen._chain = chain
-        screen.providers = set(payload["providers"])
-        screen.pools = set(payload["pools"])
-        screen._factories = set(payload["factories"])
-        screen._synced_version = payload["synced_version"]
-        screen._indexed_creations = payload["indexed_creations"]
-        screen._synced_labels = payload["synced_labels"]
-        bloom = payload.get("bloom")
-        screen._bloom = AddressBloom.from_wire(bloom) if bloom else None
-        return screen

@@ -71,23 +71,9 @@ class AccountTagger:
     the chain did grow, the label database and children index are synced
     *incrementally* (only the new records are visited); the tag cache is
     dropped only when something actually changed.
-
-    ``snapshot`` warm-starts the initial sync: a
-    :meth:`label_sync_snapshot` captured from an identically built chain
-    installs the children index and label database directly instead of
-    re-scanning the creation and label stores. The snapshot records the
-    exact chain generation it was taken at, and is silently ignored (cold
-    sync instead) unless *every* counter matches this chain — a warm
-    start can therefore never change a tag result, only skip recomputing
-    it (``tests/leishen/test_tag_snapshot.py`` pins the equivalence).
     """
 
-    def __init__(
-        self,
-        chain: "Chain",
-        labels: LabelDatabase | None = None,
-        snapshot: dict | None = None,
-    ) -> None:
+    def __init__(self, chain: "Chain", labels: LabelDatabase | None = None) -> None:
         self._chain = chain
         #: when no explicit database is supplied, labels mirror the chain's
         #: and are re-synced whenever the chain gains labels (contracts get
@@ -100,12 +86,7 @@ class AccountTagger:
         self._indexed_creations = 0
         self._cache: dict[Address, Tag] = {}
         self._synced_version = -1
-        #: True when a snapshot was accepted and the cold sync skipped.
-        self.warm_started = False
-        if snapshot is not None and self._auto_labels:
-            self.warm_started = self._install_snapshot(snapshot)
-        if not self.warm_started:
-            self._refresh()
+        self._refresh()
 
     @property
     def labels(self) -> LabelDatabase:
@@ -185,69 +166,6 @@ class AccountTagger:
             self._refresh()
         return self._children
 
-    # -- label-sync snapshots (cross-build warm start) ----------------------
-
-    def label_sync_snapshot(self) -> dict:
-        """JSON-safe snapshot of the synced label/creation state.
-
-        Captured right after a shard context is built (pre-execution),
-        the snapshot is a pure function of the shard's deterministic
-        world build, so any later rebuild of the *same* shard — a batch
-        re-run, a cluster requeue, a probation trial — can skip the
-        creation-tree and label scans and install this state directly.
-        """
-        if self._synced_version != self._chain.version:
-            self._refresh()
-        return {
-            "chain": self._chain.name,
-            "version": self._synced_version,
-            "labels_version": self._synced_labels_version,
-            "indexed_creations": self._indexed_creations,
-            "synced_labels": self._synced_labels,
-            "children": {
-                str(parent): [str(child) for child in children]
-                for parent, children in self._children.items()
-            },
-            "labels": dict(self._labels.raw_items()),
-        }
-
-    def _install_snapshot(self, snapshot: dict) -> bool:
-        """Install a :meth:`label_sync_snapshot` if it matches this chain.
-
-        Strict equality on every generation counter: the snapshot applies
-        only to a chain in byte-identically the same state it was taken
-        from (the deterministic-rebuild case). Anything else — a
-        different chain, an older or newer generation — is rejected and
-        the caller falls back to the cold sync, so a stale or foreign
-        snapshot can never corrupt tags.
-        """
-        chain = self._chain
-        try:
-            if (
-                snapshot["chain"] != chain.name
-                or snapshot["version"] != chain.version
-                or snapshot["labels_version"] != chain.labels_version
-                or snapshot["indexed_creations"] != len(chain.creations)
-                or snapshot["synced_labels"] != len(chain.labels)
-            ):
-                return False
-            children = {
-                Address(parent): [Address(child) for child in childs]
-                for parent, childs in snapshot["children"].items()
-            }
-            labels = LabelDatabase(
-                {Address(a): label for a, label in snapshot["labels"].items()}
-            )
-        except (KeyError, TypeError, ValueError):
-            return False  # malformed snapshot: cold sync instead
-        self._children = children
-        self._labels = labels
-        self._indexed_creations = snapshot["indexed_creations"]
-        self._synced_labels = snapshot["synced_labels"]
-        self._synced_labels_version = snapshot["labels_version"]
-        self._synced_version = snapshot["version"]
-        return True
-
     # -- incremental cache maintenance -------------------------------------
 
     def _refresh(self) -> None:
@@ -293,7 +211,7 @@ class AccountTagger:
         self._synced_labels_version = version
         return True
 
-    # -- transfer lifting --------------------------------------------------------
+    # -- transfer tagging --------------------------------------------------------
 
     def tag_transfers(self, transfers: Iterable[TransferRecord]) -> list[TaggedTransfer]:
         """Lift account-level transfers to tagged transfers."""

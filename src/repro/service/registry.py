@@ -41,6 +41,10 @@ __all__ = [
 #: manifest schema version; readers reject anything newer.
 MANIFEST_VERSION = 1
 
+#: fields older manifests carry and readers accept but ignore (the
+#: retired warm-start cache's per-run counters).
+RETIRED_FIELDS = frozenset({"warm_hits", "warm_misses"})
+
 #: every state a run moves through::
 #:
 #:     queued ──▶ running ──▶ completed
@@ -79,9 +83,6 @@ class RunRecord:
     error: str | None = None
     #: the run re-entered the queue from a restart's ledger adoption.
     adopted: bool = False
-    #: warm-entity cache accounting for this run's world builds.
-    warm_hits: int = 0
-    warm_misses: int = 0
     #: shards loaded from the journal vs. freshly executed.
     shards_resumed: int = 0
     shards_recorded: int = 0
@@ -104,8 +105,6 @@ class RunRecord:
             "finished_at": self.finished_at,
             "error": self.error,
             "adopted": self.adopted,
-            "warm_hits": self.warm_hits,
-            "warm_misses": self.warm_misses,
             "shards_resumed": self.shards_resumed,
             "shards_recorded": self.shards_recorded,
             "summary": self.summary,
@@ -122,7 +121,11 @@ class RunRecord:
                 f"this build speaks v{MANIFEST_VERSION}"
             )
         known = {f for f in cls.__dataclass_fields__}
-        fields = {k: v for k, v in payload.items() if k != "manifest_version"}
+        fields = {
+            k: v
+            for k, v in payload.items()
+            if k != "manifest_version" and k not in RETIRED_FIELDS
+        }
         unknown = sorted(set(fields) - known)
         if unknown:
             raise ValueError(f"run manifest has unknown field(s) {unknown}")

@@ -56,7 +56,10 @@ class ServiceServer:
         self._port = port
         self._sock: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._conn_threads: list[threading.Thread] = []
+        #: live client connections and their handler threads; guarded by
+        #: ``_lock`` so ``stop`` and the accept loop never race on it.
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._lock = threading.Lock()
         self._stopping = threading.Event()
         self.address: tuple[str, int] | None = None
 
@@ -79,36 +82,42 @@ class ServiceServer:
         self._sock = sock
         self.address = sock.getsockname()
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="scan-service-accept", daemon=True
+            target=self._accept_loop, args=(sock,), name="scan-service-accept", daemon=True
         )
         self._accept_thread.start()
 
     def stop(self) -> None:
-        """Stop accepting and close the listener; in-flight handlers
-        finish their current request and exit on the next read."""
-        self._stopping.set()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
+        """Stop serving: wake the blocked ``accept`` and every handler
+        blocked in a read, then join them all.
+
+        Closing a listening socket does not wake a thread blocked in
+        ``accept``, and nothing else would wake a handler parked on an
+        idle client, so both get ``shutdown(SHUT_RDWR)`` first. A request
+        that arrives after ``stop`` is refused; stopping leaves the
+        service itself running.
+        """
+        with self._lock:
+            self._stopping.set()
+            conns = dict(self._conns)
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            _shutdown(sock)
+            sock.close()
+        for conn in conns:
+            _shutdown(conn)  # the handler closes it on its way out
         if self._accept_thread is not None:
             self._accept_thread.join(5.0)
             self._accept_thread = None
-        for thread in self._conn_threads:
+        for thread in conns.values():
             thread.join(5.0)
-        self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
 
     # -- transport -------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            sock = self._sock
-            if sock is None:
-                return
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
             try:
-                conn, _addr = sock.accept()
-            except OSError:  # listener closed under us: clean stop
+                conn, _addr = listener.accept()
+            except OSError:  # listener shut down under us: clean stop
                 return
             thread = threading.Thread(
                 target=self._serve_connection,
@@ -116,37 +125,37 @@ class ServiceServer:
                 name="scan-service-conn",
                 daemon=True,
             )
+            with self._lock:
+                if self._stopping.is_set():
+                    conn.close()
+                    return
+                self._conns[conn] = thread
             thread.start()
-            self._conn_threads.append(thread)
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._stopping.is_set():
-                try:
-                    request = recv_message(conn)
-                except (ConnectionClosed, ConnectionError, OSError):
-                    return
-                except ProtocolError as exc:
-                    # unframeable input: answer once, then hang up — the
-                    # stream offset is unrecoverable.
-                    try:
-                        send_message(
-                            conn,
-                            {
-                                "type": "response",
-                                "ok": False,
-                                "error": str(exc),
-                                "kind": "bad-request",
-                            },
-                        )
-                    except OSError:
-                        pass
-                    return
-                response = {"type": "response", **self._dispatch(request)}
-                try:
-                    send_message(conn, response)
-                except (ConnectionError, OSError):
-                    return
+        try:
+            self._serve_requests(conn)
+        finally:
+            with self._lock:
+                self._conns.pop(conn, None)
+            conn.close()
+
+    def _serve_requests(self, conn: socket.socket) -> None:
+        while True:
+            try:
+                request = recv_message(conn)
+            except (ConnectionClosed, ConnectionError, OSError):
+                return
+            except ProtocolError as exc:
+                # unframeable input: answer once, then hang up — the
+                # stream offset is unrecoverable.
+                _reply(conn, {"ok": False, "error": str(exc), "kind": "bad-request"})
+                return
+            if self._stopping.is_set():
+                _reply(conn, {"ok": False, "error": "server is stopping", "kind": "stopping"})
+                return
+            if not _reply(conn, self._dispatch(request)):
+                return
 
     # -- request handling ------------------------------------------------
 
@@ -219,3 +228,20 @@ class ServiceServer:
         if not isinstance(run_id, str) or not run_id:
             raise ServiceError("request needs a 'run_id' string")
         return run_id
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """``shutdown(SHUT_RDWR)``, ignoring a peer that already went away."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
+def _reply(conn: socket.socket, response: dict) -> bool:
+    """Send one response frame; ``False`` when the peer is gone."""
+    try:
+        send_message(conn, {"type": "response", **response})
+    except OSError:
+        return False
+    return True

@@ -1,4 +1,4 @@
-"""The resident scan service: run queue, warm-world cache, paged results.
+"""The resident scan service: run queue, durable runs, paged results.
 
 Everything before this module was one-shot — build a world, scan, exit.
 :class:`ScanService` turns the same machinery into a multi-tenant
@@ -10,13 +10,6 @@ resident process:
   instead of scanning twice. A bounded queue (``max_queue``) rejects
   overload loudly with :class:`AdmissionError` instead of thrashing;
   ``executors`` caps concurrent scans.
-
-- **Warm-entity cache.** Shard context snapshots
-  (:class:`~repro.engine.scan.ShardContextSnapshot`) rest in a
-  TTL + LRU tier between runs; before each run the service primes the
-  engine's process-level store with every resident snapshot the run's
-  shards will want, so back-to-back runs skip the cold world syncs.
-  Per-run hit/miss counts land in the run manifest.
 
 - **Durable, restart-surviving results.** Every run journals to its own
   :class:`~repro.runtime.RunLedger` under the service data dir. Results
@@ -47,12 +40,6 @@ import traceback
 from collections import deque
 
 from ..engine.plan import build_full_schedule
-from ..engine.scan import (
-    context_snapshot_for,
-    context_snapshot_stats,
-    install_context_snapshot,
-    shard_chain_name,
-)
 from ..engine.wire import config_from_wire, detection_to_wire
 from .cache import TTLCache
 from .registry import COALESCE_STATES, RunRecord, RunRegistry, run_id_for
@@ -62,7 +49,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_EXECUTORS",
     "DEFAULT_MAX_QUEUE",
-    "DEFAULT_WARM_TTL",
     "ScanService",
     "ServiceError",
     "UnknownRunError",
@@ -73,8 +59,6 @@ BACKENDS = ("batch", "stream", "cluster")
 
 DEFAULT_EXECUTORS = 2
 DEFAULT_MAX_QUEUE = 16
-#: seconds a warm shard-context snapshot stays resident untouched.
-DEFAULT_WARM_TTL = 600.0
 #: seconds a decoded merge result stays resident untouched.
 DEFAULT_RESULTS_TTL = 300.0
 
@@ -106,8 +90,6 @@ class ScanService:
         *,
         executors: int = DEFAULT_EXECUTORS,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        warm_ttl: float | None = DEFAULT_WARM_TTL,
-        warm_entries: int = 64,
         results_ttl: float | None = DEFAULT_RESULTS_TTL,
         results_entries: int = 16,
         default_backend: str = "batch",
@@ -129,8 +111,6 @@ class ScanService:
         self.max_queue = max_queue
         self.default_backend = default_backend
         self.cluster_workers = cluster_workers
-        #: resident shard-context snapshots, keyed by chain name.
-        self.warm_cache = TTLCache(warm_entries, warm_ttl, clock=clock)
         #: decoded merge results for completed runs, keyed by run id.
         self.results_cache = TTLCache(results_entries, results_ttl, clock=clock)
 
@@ -151,6 +131,8 @@ class ScanService:
             "failed": 0,
             "adopted_resuming": 0,
             "adopted_completed": 0,
+            # retired warm-start counters, always 0; kept because the
+            # repository benchmark (perfbench) still reads them.
             "warm_hits": 0,
             "warm_misses": 0,
         }
@@ -404,9 +386,7 @@ class ScanService:
                 "draining": self._draining or self._stopping,
                 "runs_by_state": states,
                 "counters": dict(self.counters),
-                "warm_cache": self.warm_cache.stats(),
                 "results_cache": self.results_cache.stats(),
-                "engine_snapshot_store": context_snapshot_stats(),
             }
 
     # -- internals -------------------------------------------------------
@@ -498,7 +478,6 @@ class ScanService:
             config = replace(config, jobs=record.jobs)
         _, shard_count = build_full_schedule(config)
         record.shard_count = shard_count
-        record.warm_hits, record.warm_misses = self._prime_warm(shard_count)
 
         ledger = RunLedger.resume_or_create(
             self.registry.ledger_path(record.run_id), config, shard_count
@@ -526,31 +505,5 @@ class ScanService:
             record.shards_recorded = ledger.recorded_count
         finally:
             ledger.close()
-        self._harvest_warm(shard_count)
         record.summary = self._summarize(result)
         self.results_cache.put(record.run_id, result)
-
-    def _prime_warm(self, shard_count: int) -> tuple[int, int]:
-        """Install every resident snapshot this run's shards will want
-        into the engine's process-level store; returns ``(hits, misses)``."""
-        hits = misses = 0
-        for index in range(shard_count):
-            name = shard_chain_name(index, shard_count)
-            snapshot = self.warm_cache.get(name)
-            if snapshot is not None:
-                install_context_snapshot(snapshot)
-                hits += 1
-            else:
-                misses += 1
-        with self._cond:
-            self.counters["warm_hits"] += hits
-            self.counters["warm_misses"] += misses
-        return hits, misses
-
-    def _harvest_warm(self, shard_count: int) -> None:
-        """Lift the snapshots a finished run built into the TTL tier
-        (refreshing the deadline of ones it reused)."""
-        for index in range(shard_count):
-            snapshot = context_snapshot_for(index, shard_count)
-            if snapshot is not None:
-                self.warm_cache.put(snapshot.chain_name, snapshot)

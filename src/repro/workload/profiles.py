@@ -386,7 +386,7 @@ def profile_yield_strategy(market: WildMarket, aggregator_initiated: bool) -> La
     Structurally indistinguishable from MBS — the paper's dominant
     false-positive source (Sec. VI-C). When ``aggregator_initiated`` the
     transaction sender carries a yield-aggregator label, which is what the
-    paper's precision-lifting heuristic keys on.
+    paper's precision-raising heuristic keys on.
     """
     bot = market.pick_bot()
     usd = market.strategy_usd

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from repro.engine.scan import clear_context_snapshots
 from repro.experiments import service as service_cli
 from repro.experiments.runner import main
 from repro.service import ServiceClient
@@ -24,7 +23,6 @@ def _free_port() -> int:
 @pytest.fixture()
 def serving(tmp_path):
     """A real ``serve`` loop on a background thread, torn down cleanly."""
-    clear_context_snapshots()
     port = _free_port()
     stop = threading.Event()
     thread = threading.Thread(
@@ -50,7 +48,6 @@ def serving(tmp_path):
     finally:
         stop.set()
         thread.join(30)
-        clear_context_snapshots()
 
 
 def test_cli_submit_status_results_roundtrip(serving, capsys):

@@ -3,10 +3,9 @@
 The screen's contract is one-sided — ``admits(trace) == False`` implies
 ``FlashLoanIdentifier.identify(trace) == []`` — so these tests pin the
 necessary-condition side (known attacks from all three providers are
-always admitted), the rejection side (plain swaps/transfers are screened
-out), and the snapshot machinery (deterministic Bloom bits, counter
-validation on ``from_wire``). The engine-level byte-parity property
-lives in ``tests/engine/test_prescreen_parity.py``.
+always admitted) and the rejection side (plain swaps/transfers are
+screened out). The engine-level byte-parity property lives in
+``tests/engine/test_prescreen_parity.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.leishen import FlashLoanIdentifier
-from repro.leishen.prescreen import BLOOM_THRESHOLD, AddressBloom, PreScreen
+from repro.leishen.prescreen import PreScreen
 from repro.study.scenarios import SCENARIO_BUILDERS
 
 
@@ -51,7 +50,7 @@ class TestAdmits:
             trader, router.address, "swapExactTokensForTokens",
             100 * token.unit, 0, (pair.address,), token.address,
         )
-        screen = PreScreen(world.chain)
+        screen = PreScreen()
         assert not screen.admits(trace)
         assert screen.screened == 1 and screen.admitted == 0
         # soundness: the identifier agrees the rejection was safe
@@ -63,20 +62,10 @@ class TestAdmits:
         b = world.create_attacker("b")
         token.mint(a, 100)
         trace = world.chain.transact(a, token.address, "transfer", b, 10)
-        assert not PreScreen(world.chain).admits(trace)
-
-    def test_rejection_never_consults_the_address_table(self, outcomes):
-        # A chain-less screen has an empty table; admits() must still
-        # pass every real attack purely on the fingerprint markers —
-        # this is the guard against attacker-deployed unlabelled pools.
-        screen = PreScreen()
-        assert screen.table_size == 0
-        for outcome in outcomes.values():
-            assert screen.admits(outcome.trace)
-        assert screen.fast_hits == 0  # empty table: markers alone admitted
+        assert not PreScreen().admits(trace)
 
     def test_counters_accumulate(self, outcomes, world):
-        screen = PreScreen(world.chain)
+        screen = PreScreen()
         token = world.new_token("PS3")
         a = world.create_attacker("a")
         token.mint(a, 100)
@@ -87,78 +76,3 @@ class TestAdmits:
         assert screen.admitted == 3
         assert screen.screened == 1
 
-
-class TestAddressBloom:
-    def test_no_false_negatives(self):
-        bloom = AddressBloom(256)
-        members = [f"0x{i:040x}" for i in range(200)]
-        for address in members:
-            bloom.add(address)
-        assert all(address in bloom for address in members)
-
-    def test_deterministic_bits(self):
-        a, b = AddressBloom(128), AddressBloom(128)
-        for address in ("0xabc", "0xdef", "0x123"):
-            a.add(address)
-            b.add(address)
-        assert a.to_wire() == b.to_wire()
-
-    def test_wire_roundtrip(self):
-        bloom = AddressBloom(64)
-        for i in range(40):
-            bloom.add(f"0x{i:x}")
-        clone = AddressBloom.from_wire(bloom.to_wire())
-        assert clone.to_wire() == bloom.to_wire()
-        assert all(f"0x{i:x}" in clone for i in range(40))
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            AddressBloom(0)
-
-
-class TestSnapshots:
-    def test_wire_roundtrip_preserves_table(self, world):
-        world.dex_pair(
-            world.new_token("SNP"), world.weth, 10**6 * 10**18, 10**4 * 10**18
-        )
-        screen = PreScreen(world.chain)
-        clone = PreScreen.from_wire(screen.to_wire(), chain=world.chain)
-        assert clone.providers == screen.providers
-        assert clone.pools == screen.pools
-        assert clone.table_size == screen.table_size
-
-    def test_stale_snapshot_harvests_cold(self, world):
-        screen = PreScreen(world.chain)
-        payload = screen.to_wire()
-        # grow the chain: a new factory-created pool must not be masked
-        # by the stale table, so from_wire falls back to a cold harvest
-        world.dex_pair(
-            world.new_token("STL"), world.weth, 10**6 * 10**18, 10**4 * 10**18
-        )
-        rebuilt = PreScreen.from_wire(payload, chain=world.chain)
-        assert rebuilt.table_size == PreScreen(world.chain).table_size
-        assert rebuilt.pools >= screen.pools
-
-    def test_incremental_resync_matches_cold_harvest(self, world):
-        screen = PreScreen(world.chain)
-        world.dex_pair(
-            world.new_token("RSN"), world.weth, 10**6 * 10**18, 10**4 * 10**18
-        )
-        token = world.new_token("RS2")
-        a = world.create_attacker("a")
-        token.mint(a, 100)
-        trace = world.chain.transact(a, token.address, "transfer", a, 10)
-        screen.admits(trace)  # triggers the incremental re-sync
-        cold = PreScreen(world.chain)
-        assert screen.providers == cold.providers
-        assert screen.pools == cold.pools
-
-    def test_bloom_engages_past_threshold(self):
-        screen = PreScreen()
-        screen.pools = {f"0x{i:040x}" for i in range(BLOOM_THRESHOLD)}
-        screen._rebuild_bloom()
-        payload = screen.to_wire()
-        assert payload["bloom"] is not None
-        clone = PreScreen.from_wire(payload)
-        assert all(screen._known(address) for address in screen.pools)
-        assert all(clone._known(address) for address in screen.pools)

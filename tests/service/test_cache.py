@@ -1,4 +1,4 @@
-"""TTL + LRU semantics of the service's warm-entity cache."""
+"""TTL + LRU semantics of the service's results cache."""
 
 from __future__ import annotations
 

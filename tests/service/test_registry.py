@@ -59,12 +59,30 @@ def test_manifest_rejects_version_and_field_drift(tmp_path):
         RunRecord.from_dict(dict(payload, surprise=True))
 
     trimmed = dict(payload)
-    del trimmed["warm_hits"]
+    del trimmed["shards_resumed"]
     with pytest.raises(ValueError, match="missing field"):
         RunRecord.from_dict(trimmed)
 
     with pytest.raises(ValueError, match="unknown state"):
         RunRecord.from_dict(dict(payload, state="paused"))
+
+
+def test_manifest_with_retired_warm_counters_still_loads(tmp_path):
+    """Manifests written before the warm-start cache was removed carry
+    ``warm_hits``/``warm_misses``; they must load (those keys ignored),
+    or a restarted service would silently drop every completed run."""
+    registry = RunRegistry(tmp_path)
+    record = registry.create(WildScanConfig(scale=0.01, seed=7, shards=2))
+    record.state = "completed"
+    path = registry.manifest_path(record.run_id)
+    payload = dict(record.to_dict(), warm_hits=2, warm_misses=0)
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+
+    assert RunRecord.from_dict(payload) == record
+    assert registry.load_all() == {record.run_id: record}
+    # only those two keys are forgiven
+    with pytest.raises(ValueError, match="unknown field"):
+        RunRecord.from_dict(dict(payload, warm_ratio=1.0))
 
 
 def test_load_all_skips_unreadable_manifests(tmp_path):

@@ -5,11 +5,12 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
 from repro.cluster.protocol import recv_message, send_message
-from repro.engine.scan import ScanEngine, clear_context_snapshots
+from repro.engine.scan import ScanEngine
 from repro.engine.wire import detection_to_wire
 from repro.service import (
     AdmissionError,
@@ -25,13 +26,6 @@ from repro.workload.generator import WildScanConfig
 CONFIG = WildScanConfig(scale=0.01, seed=7, shards=2)
 
 
-@pytest.fixture(autouse=True)
-def _cold_engine_store():
-    clear_context_snapshots()
-    yield
-    clear_context_snapshots()
-
-
 @pytest.fixture()
 def served(tmp_path):
     with ScanService(tmp_path, executors=2) as service:
@@ -42,7 +36,6 @@ def served(tmp_path):
 def test_tcp_end_to_end_identity(served):
     service, server = served
     reference = [detection_to_wire(d) for d in ScanEngine(CONFIG).run().detections]
-    clear_context_snapshots()
     with ServiceClient(server.address) as client:
         assert client.ping()
         run = client.submit(CONFIG)
@@ -147,6 +140,36 @@ def test_abrupt_client_disconnect_leaves_server_serving(served):
     half.close()
     with ServiceClient(server.address) as client:
         assert client.ping()
+
+
+def test_stop_is_prompt_and_leak_free_with_an_idle_client(tmp_path):
+    """Regression: closing the listener did not wake the blocked
+    ``accept``, and nothing woke a handler parked on an idle client, so
+    ``stop`` took 10 s and left ``scan-service-conn`` running."""
+    before = set(threading.enumerate())
+    service = ScanService(tmp_path, executors=1)
+    service.start()
+    server = ServiceServer(service)
+    server.start()
+    client = ServiceClient(server.address, timeout=10)
+    try:
+        assert client.ping()
+        started = time.monotonic()
+        server.stop()
+        elapsed = time.monotonic() - started
+        # the idle connection was shut down: a late request is refused
+        with pytest.raises(OSError):
+            client.ping()
+    finally:
+        client.close()
+        service.shutdown()
+    assert elapsed < 1.0, f"stop() took {elapsed:.2f}s with one idle client"
+    survivors = [
+        thread.name
+        for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith("scan-service-")
+    ]
+    assert survivors == []
 
 
 def test_server_results_page_fields_over_wire(served):

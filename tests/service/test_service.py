@@ -1,4 +1,4 @@
-"""The resident service's contracts: dedup, identity, warm cache, restart.
+"""The resident service's contracts: dedup, identity, restart.
 
 These are the acceptance pins for the multi-tenant tier:
 
@@ -6,7 +6,6 @@ These are the acceptance pins for the multi-tenant tier:
 - everything the service serves is byte-identical to a standalone
   :class:`~repro.engine.ScanEngine` run of the same config, on every
   backend, paged or unpaged;
-- a second run over the same shard layout hits the warm-entity cache;
 - a service restarted over a half-journaled run adopts the ledger,
   finishes only the missing shards, and changes nothing.
 """
@@ -18,7 +17,7 @@ import threading
 import pytest
 
 from repro.engine.plan import build_schedule, shard_schedule
-from repro.engine.scan import ScanEngine, clear_context_snapshots, run_shard
+from repro.engine.scan import ScanEngine, run_shard
 from repro.engine.wire import detection_to_wire
 from repro.runtime import RunLedger
 from repro.service import (
@@ -31,14 +30,6 @@ from repro.service import (
 from repro.workload.generator import WildScanConfig
 
 CONFIG = WildScanConfig(scale=0.01, seed=7, shards=2)
-
-
-@pytest.fixture(autouse=True)
-def _cold_engine_store():
-    """Every test starts with an empty process-level snapshot store."""
-    clear_context_snapshots()
-    yield
-    clear_context_snapshots()
 
 
 def standalone_wire(config) -> list[dict]:
@@ -92,7 +83,6 @@ def test_concurrent_distinct_submissions_all_identical(tmp_path):
         WildScanConfig(scale=0.01, seed=seed, shards=2) for seed in (7, 11)
     ]
     references = [standalone_wire(config) for config in configs]
-    clear_context_snapshots()
     with ScanService(tmp_path, executors=2) as service:
         views = [service.submit(config)[0] for config in configs]
         for view, reference in zip(views, references):
@@ -160,21 +150,9 @@ def test_paged_fetch_equals_unpaged_merge(tmp_path):
         assert past["detections"] == [] and past["next_offset"] is None
 
 
-def test_warm_cache_hit_on_second_run(tmp_path):
-    """A different seed over the same shard layout reuses every snapshot."""
-    with ScanService(tmp_path, executors=1) as service:
-        first, _ = service.submit(CONFIG)
-        done = service.wait(first["run_id"], timeout=120)
-        assert done["warm_hits"] == 0 and done["warm_misses"] == 2
-        second, _ = service.submit(WildScanConfig(scale=0.01, seed=99, shards=2))
-        warm = service.wait(second["run_id"], timeout=120)
-        assert warm["warm_hits"] == 2 and warm["warm_misses"] == 0
-
-
 @pytest.mark.parametrize("backend", ["stream", "cluster"])
 def test_alternate_backends_identical(tmp_path, backend):
     reference = standalone_wire(CONFIG)
-    clear_context_snapshots()
     with ScanService(tmp_path, cluster_workers=2) as service:
         view, _ = service.submit(CONFIG, backend=backend)
         done = service.wait(view["run_id"], timeout=300)
@@ -358,7 +336,6 @@ def test_stats_shape(tmp_path):
         stats = service.stats()
         assert stats["runs_by_state"] == {"completed": 1}
         assert stats["counters"]["completed"] == 1
-        assert stats["warm_cache"]["entries"] == 2  # one per shard
         assert stats["queue_depth"] == 0
         assert not stats["draining"]
 
