@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench bench-smoke stream-smoke windowed-smoke cluster-smoke elastic-smoke resume-smoke service-smoke failover-smoke fullscale-smoke robustness-smoke profile
+.PHONY: test bench bench-smoke stream-smoke windowed-smoke cluster-smoke elastic-smoke resume-smoke service-smoke failover-smoke fullscale-smoke robustness-smoke profile perf-ab
 
 ## tier-1 test suite (what CI gates on); the windowed and robustness
 ## benches ride along because their recall/identity assertions are
@@ -81,3 +81,12 @@ robustness-smoke:
 ## the stage table and writes PROFILE_wildscan.json
 profile:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.runner scan --scale 0.1 --profile
+
+## pairwise A/B of the repository benchmark (perfbench/run.py) between
+## BASE and the working tree: alternating run order, one seed per pair;
+## prints each end-to-end metric's median, quartiles and win count
+WORKLOAD ?= batch-scan
+PAIRS ?= 10
+perf-ab:
+	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<rev> [WORKLOAD=batch-scan] [PAIRS=10]"; exit 2; }
+	$(PYTHON) benchmarks/ab_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)

@@ -45,6 +45,14 @@ _ETH_BALANCE = "eth_balance"
 _CHAIN_OWNER = Address("0x" + "c" * 40)
 
 
+def _truncate_trace(trace: TransactionTrace, mark: int) -> None:
+    """Drop the records with ``seq >= mark``: the effects of a reverted
+    call. Each record list is in seq order, so they sit at the tails."""
+    for records in (trace.transfers, trace.calls, trace.logs, trace.creations):
+        while records and records[-1].seq >= mark:
+            records.pop()
+
+
 class _LabelMap(dict):
     """Label store that bumps the owning chain's generation counters.
 
@@ -194,37 +202,30 @@ class Chain:
             )
         self.state.add(sender, _ETH_BALANCE, -amount)
         self.state.add(receiver, _ETH_BALANCE, amount)
-        self._record_transfer(sender, receiver, amount, ETHER)
+        self.record_token_transfer(sender, receiver, amount, ETHER)
 
     def send_ether(self, sender: Address, receiver: Address, amount: int) -> None:
         """Plain Ether send; triggers the receiver's ``receive_ether`` hook."""
         self._move_ether(sender, receiver, amount)
         contract = self.contracts.get(receiver)
         if contract is not None:
-            contract.receive_ether(Msg(sender=sender, value=amount))
+            contract.receive_ether(Msg(sender, amount))
 
     # ------------------------------------------------------------------
     # trace recording
     # ------------------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        return next(self._seq)
-
-    def _record_transfer(self, sender: Address, receiver: Address, amount: int, token: Address) -> None:
-        if self._trace is not None:
-            self._trace.transfers.append(
-                TransferRecord(self._next_seq(), sender, receiver, amount, token)
-            )
-
     def record_token_transfer(self, sender: Address, receiver: Address, amount: int, token: Address) -> None:
-        """Record an ERC20 ``Transfer`` log (called by token contracts)."""
-        self._record_transfer(sender, receiver, amount, token)
+        """Record an ERC20 ``Transfer`` log (called by token contracts), or
+        an Ether move when ``token`` is :data:`ETHER`."""
+        trace = self._trace
+        if trace is not None:
+            trace.transfers.append(TransferRecord(next(self._seq), sender, receiver, amount, token))
 
     def emit_log(self, emitter: Address, event: str, **params: Any) -> None:
-        if self._trace is not None:
-            self._trace.logs.append(
-                LogRecord(self._next_seq(), emitter, event, tuple(params.items()))
-            )
+        trace = self._trace
+        if trace is not None:
+            trace.logs.append(LogRecord(next(self._seq), emitter, event, tuple(params.items())))
 
     # ------------------------------------------------------------------
     # calls and transactions
@@ -249,49 +250,28 @@ class Chain:
         contract = self.contracts.get(target)
         if contract is None:
             raise NotAContract(f"call target {target} is not a contract")
-        self.state.checkpoint()
-        marks = self._trace_marks()
-        self._depth += 1
-        if self._trace is not None:
-            self._trace.calls.append(
-                CallRecord(self._next_seq(), caller, target, function, self._depth, value)
-            )
+        state, trace = self.state, self._trace
+        state.checkpoint()
+        self._depth = depth = self._depth + 1
+        if trace is not None:
+            # the call's own seq is the trace mark: every record the
+            # subtree makes carries a larger one
+            mark = next(self._seq)
+            trace.calls.append(CallRecord(mark, caller, target, function, depth, value))
         try:
             if value:
                 self._move_ether(caller, target, value)
-            result = contract.dispatch(function, Msg(sender=caller, value=value), *args, **kwargs)
-        except Revert:
-            self.state.rollback()
-            self._truncate_trace(marks)
-            raise
-        except ChainError:
-            self.state.rollback()
-            self._truncate_trace(marks)
+            result = contract.dispatch(function, Msg(caller, value), *args, **kwargs)
+        except ChainError:  # Revert included
+            state.rollback()
+            if trace is not None:
+                _truncate_trace(trace, mark)
             raise
         else:
-            self.state.commit()
+            state.commit()
             return result
         finally:
             self._depth -= 1
-
-    def _trace_marks(self) -> tuple[int, int, int, int] | None:
-        if self._trace is None:
-            return None
-        return (
-            len(self._trace.transfers),
-            len(self._trace.calls),
-            len(self._trace.logs),
-            len(self._trace.creations),
-        )
-
-    def _truncate_trace(self, marks: tuple[int, int, int, int] | None) -> None:
-        if marks is None or self._trace is None:
-            return
-        transfers, calls, logs, creations = marks
-        del self._trace.transfers[transfers:]
-        del self._trace.calls[calls:]
-        del self._trace.logs[logs:]
-        del self._trace.creations[creations:]
 
     def transact(
         self,
@@ -382,7 +362,7 @@ class Chain:
         contract = contract_cls(self, address, *args, **kwargs)
         self.contracts[address] = contract
         self.created_by[address] = creator
-        record = CreationRecord(self._next_seq(), creator, address)
+        record = CreationRecord(next(self._seq), creator, address)
         self.creations.append(record)
         self.version += 1
         if self._trace is not None:

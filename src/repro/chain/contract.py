@@ -12,8 +12,8 @@ plain Python attributes are treated as immutable configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from functools import cache
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, TypeVar
 
 from .errors import UnknownFunction
 from .state import StorageView
@@ -27,8 +27,7 @@ __all__ = ["Msg", "Contract", "external"]
 F = TypeVar("F", bound=Callable[..., Any])
 
 
-@dataclass(frozen=True, slots=True)
-class Msg:
+class Msg(NamedTuple):
     """Call context handed to every external function."""
 
     sender: Address
@@ -39,6 +38,20 @@ def external(func: F) -> F:
     """Mark a contract method as an externally callable entry point."""
     func.__external__ = True  # type: ignore[attr-defined]
     return func
+
+
+@cache
+def _is_external(cls: type, function: str) -> bool:
+    """Whether any definition of ``function`` in ``cls``'s MRO is marked
+    ``@external``. Memoised per class and name, which assumes a method's
+    marking does not change after its first dispatch; only names that
+    resolve to an attribute are asked, so the cache is bounded by the
+    contract classes' attributes."""
+    for klass in cls.__mro__:
+        candidate = klass.__dict__.get(function)
+        if candidate is not None and getattr(candidate, "__external__", False):
+            return True
+    return False
 
 
 class Contract:
@@ -83,17 +96,9 @@ class Contract:
         once and subclasses can override without re-decorating.
         """
         handler = getattr(self, function, None)
-        if handler is None or not self._is_external(function):
+        if handler is None or not _is_external(type(self), function):
             raise UnknownFunction(f"{type(self).__name__} has no external fn {function!r}")
         return handler(msg, *args, **kwargs)
-
-    @classmethod
-    def _is_external(cls, function: str) -> bool:
-        for klass in cls.__mro__:
-            candidate = klass.__dict__.get(function)
-            if candidate is not None and getattr(candidate, "__external__", False):
-                return True
-        return False
 
     # -- convenience wrappers used by subclasses --------------------------
 

@@ -1,7 +1,7 @@
 """Journaled world state.
 
 All mutable chain state (Ether balances, ERC20 ledgers, AMM reserves, vault
-shares, ...) lives in one flat key/value store with write-ahead journaling.
+shares, ...) lives in one flat key/value store with an undo log.
 A transaction opens a checkpoint before executing; a :class:`Revert` rolls
 the journal back to that checkpoint, which is how the substrate implements
 Ethereum's transaction atomicity — the property flash loans rely on.
@@ -25,16 +25,18 @@ _MISSING = object()
 class StateJournal:
     """A flat key/value store with nested checkpoints.
 
-    The journal records, for every write since the innermost open
-    checkpoint, the key's *previous* value (or a tombstone if it was
-    absent). ``rollback`` replays the journal in reverse; ``commit`` folds
-    the journal entries into the parent checkpoint so outer rollbacks still
-    restore correctly.
+    While a checkpoint is open, every write appends the key's *previous*
+    value (or a tombstone if it was absent) to one undo log, and each
+    checkpoint is an integer mark into that log. ``rollback`` replays the
+    log back to the innermost mark in reverse; ``commit`` just drops the
+    mark, so the entries it covered stay in the log for any outer
+    rollback. The log is cleared when the outermost checkpoint commits.
     """
 
     def __init__(self) -> None:
         self._data: dict[tuple[Address, Hashable], Any] = {}
-        self._journals: list[dict[tuple[Address, Hashable], Any]] = []
+        self._undo: list[tuple[tuple[Address, Hashable], Any]] = []
+        self._marks: list[int] = []
 
     # -- reads ---------------------------------------------------------
 
@@ -55,60 +57,61 @@ class StateJournal:
 
     def set(self, owner: Address, slot: Hashable, value: Any) -> None:
         key = (owner, slot)
-        if self._journals:
-            journal = self._journals[-1]
-            if key not in journal:
-                journal[key] = self._data.get(key, _MISSING)
-        self._data[key] = value
+        data = self._data
+        if self._marks:
+            self._undo.append((key, data.get(key, _MISSING)))
+        data[key] = value
 
     def delete(self, owner: Address, slot: Hashable) -> None:
         key = (owner, slot)
-        if key not in self._data:
-            return
-        if self._journals:
-            journal = self._journals[-1]
-            if key not in journal:
-                journal[key] = self._data[key]
-        del self._data[key]
+        old = self._data.pop(key, _MISSING)
+        if old is not _MISSING and self._marks:
+            self._undo.append((key, old))
 
     def add(self, owner: Address, slot: Hashable, delta: int) -> int:
         """Numeric read-modify-write helper; returns the new value."""
-        new = self.get(owner, slot, 0) + delta
-        self.set(owner, slot, new)
+        key = (owner, slot)
+        data = self._data
+        old = data.get(key, _MISSING)
+        new = (0 if old is _MISSING else old) + delta
+        if self._marks:
+            self._undo.append((key, old))
+        data[key] = new
         return new
 
     # -- checkpoints ----------------------------------------------------
 
     def checkpoint(self) -> int:
         """Open a nested checkpoint; returns its depth (for assertions)."""
-        self._journals.append({})
-        return len(self._journals)
+        marks = self._marks
+        marks.append(len(self._undo))
+        return len(marks)
 
     def commit(self) -> None:
-        """Fold the innermost checkpoint into its parent."""
-        if not self._journals:
+        """Close the innermost checkpoint, keeping its writes."""
+        marks = self._marks
+        if not marks:
             raise RuntimeError("commit without checkpoint")
-        journal = self._journals.pop()
-        if self._journals:
-            parent = self._journals[-1]
-            for key, old in journal.items():
-                if key not in parent:
-                    parent[key] = old
+        marks.pop()
+        if not marks:
+            self._undo.clear()
 
     def rollback(self) -> None:
         """Undo every write since the innermost checkpoint."""
-        if not self._journals:
+        if not self._marks:
             raise RuntimeError("rollback without checkpoint")
-        journal = self._journals.pop()
-        for key, old in journal.items():
+        mark = self._marks.pop()
+        undo, data = self._undo, self._data
+        for key, old in reversed(undo[mark:]):
             if old is _MISSING:
-                self._data.pop(key, None)
+                data.pop(key, None)
             else:
-                self._data[key] = old
+                data[key] = old
+        del undo[mark:]
 
     @property
     def depth(self) -> int:
-        return len(self._journals)
+        return len(self._marks)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -117,19 +120,21 @@ class StateJournal:
 class StorageView:
     """A contract-scoped facade over the shared :class:`StateJournal`.
 
-    Contracts read and write their own storage through this view so all
-    mutations stay journaled (and therefore revertible) without each
-    contract knowing about checkpoints.
+    Contracts read and write their own storage through this view. Reads
+    go straight to the journal's data dict; writes go through the journal
+    so all mutations stay revertible without each contract knowing about
+    checkpoints.
     """
 
-    __slots__ = ("_state", "_owner")
+    __slots__ = ("_state", "_owner", "_data")
 
     def __init__(self, state: StateJournal, owner: Address) -> None:
         self._state = state
         self._owner = owner
+        self._data = state._data
 
     def get(self, slot: Hashable, default: Any = None) -> Any:
-        return self._state.get(self._owner, slot, default)
+        return self._data.get((self._owner, slot), default)
 
     def set(self, slot: Hashable, value: Any) -> None:
         self._state.set(self._owner, slot, value)
@@ -141,4 +146,4 @@ class StorageView:
         self._state.delete(self._owner, slot)
 
     def contains(self, slot: Hashable) -> bool:
-        return self._state.contains(self._owner, slot)
+        return (self._owner, slot) in self._data

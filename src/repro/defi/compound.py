@@ -43,6 +43,10 @@ class LendingMarket(DeFiProtocol):
         super().__init__(chain, address)
         self.price_of = price_of
         self.ltv_bps = ltv_bps
+        #: every token this market was ever asked to lend: a superset of
+        #: the tokens any account can owe, kept outside journaled storage
+        #: because a stale extra entry only costs one empty debt read.
+        self._lent_tokens: set[Address] = set()
 
     # -- liquidity -------------------------------------------------------
 
@@ -80,6 +84,7 @@ class LendingMarket(DeFiProtocol):
             self.storage.get(("cash", borrow_token), 0) >= borrow_amount,
             "insufficient market cash",
         )
+        self._lent_tokens.add(borrow_token)
         self.pull_token(collateral_token, msg.sender, collateral_amount)
         self.storage.add(("collateral", msg.sender, collateral_token), collateral_amount)
         self.storage.add(("cash", collateral_token), collateral_amount)
@@ -140,9 +145,8 @@ class LendingMarket(DeFiProtocol):
         """
         posted = self.storage.get(("collateral", msg.sender, collateral_token), 0)
         self.require(0 < amount <= posted, "withdraw exceeds collateral")
-        for (slot, value) in list(self.chain.state.items_for(self.address)):
-            if isinstance(slot, tuple) and slot[0] == "debt" and slot[1] == msg.sender and value > 0:
-                self.require(False, "outstanding debt")
+        for token in self._lent_tokens:
+            self.require(self.debt_of(msg.sender, token) <= 0, "outstanding debt")
         self.storage.set(("collateral", msg.sender, collateral_token), posted - amount)
         self.storage.add(("cash", collateral_token), -amount)
         self.push_token(collateral_token, msg.sender, amount)

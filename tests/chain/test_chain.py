@@ -137,6 +137,113 @@ class TestAtomicity:
         assert counter.count() == 0 and other.count() == 0
 
 
+class Noisy(Contract):
+    """Makes one record of every kind, then reverts."""
+
+    @external
+    def make_noise(self, msg: Msg, counter) -> None:
+        self.emit("Inner")
+        self.chain.deploy(self.address, Counter)
+        self.call(counter, "bump")
+        self.chain.send_ether(self.address, counter, msg.value)
+        trace = self.chain._trace
+        self.highest_seq = max(
+            record.seq
+            for records in (trace.transfers, trace.calls, trace.logs, trace.creations)
+            for record in records
+        )
+        raise Revert("noise")
+
+
+class Catcher(Contract):
+    """Makes records, catches a reverting nested call, makes more."""
+
+    @external
+    def run(self, msg: Msg, noisy, counter) -> None:
+        self.emit("Before")
+        self.chain.deploy(self.address, Counter)
+        self.call(counter, "bump")
+        self.chain.send_ether(self.address, counter, 1)
+        self.before = self._records()
+        try:
+            self.call(noisy, "make_noise", counter, value=2)
+        except Revert:
+            pass
+        self.after_catch = self._records()
+        self.emit("After")
+
+    def _records(self):
+        trace = self.chain._trace
+        return [list(trace.transfers), list(trace.calls), list(trace.logs), list(trace.creations)]
+
+
+class TestCaughtRevertTrace:
+    def test_caught_revert_leaves_exactly_the_earlier_records(self, chain, funded_accounts):
+        a = funded_accounts[0]
+        catcher = chain.deploy(a, Catcher)
+        noisy = chain.deploy(a, Noisy)
+        counter = chain.deploy(a, Counter)
+        trace = chain.transact(a, catcher.address, "run", noisy.address, counter.address, value=10)
+        assert trace.success
+        assert catcher.after_catch == catcher.before
+        transfers, calls, logs, creations = catcher.before
+        assert transfers and calls and logs and creations
+        assert [log.event for log in trace.logs] == ["Before", "After"]
+        assert [call.function for call in trace.calls] == ["run", "bump"]
+        assert len(trace.creations) == 1
+        assert counter.count() == 1 and chain.balance(counter.address) == 1
+        assert chain.state.depth == 0
+
+    def test_seqs_are_not_reused_after_a_caught_revert(self, chain, funded_accounts):
+        a = funded_accounts[0]
+        catcher = chain.deploy(a, Catcher)
+        noisy = chain.deploy(a, Noisy)
+        counter = chain.deploy(a, Counter)
+        trace = chain.transact(a, catcher.address, "run", noisy.address, counter.address, value=10)
+        after = trace.logs[-1]
+        assert after.event == "After" and after.seq > noisy.highest_seq
+        following = chain.transact(a, counter.address, "bump")
+        assert min(event.seq for event in following.ordered_events()) > noisy.highest_seq
+        seqs = [event.seq for event in trace.ordered_events()]
+        assert seqs == sorted(set(seqs))
+
+
+class WithFoo(Contract):
+    @external
+    def foo(self, msg: Msg) -> str:
+        return "external"
+
+
+class PlainFoo(Contract):
+    def foo(self, msg: Msg) -> str:
+        return "plain"
+
+
+class OverridesFoo(WithFoo):
+    def foo(self, msg: Msg) -> str:
+        return "override"
+
+
+class TestDispatchCache:
+    def test_cached_external_does_not_leak_to_a_sibling(self, chain, funded_accounts):
+        a = funded_accounts[0]
+        with_foo, plain = chain.deploy(a, WithFoo), chain.deploy(a, PlainFoo)
+        assert chain.call(a, with_foo.address, "foo") == "external"
+        for _ in range(2):
+            with pytest.raises(UnknownFunction):
+                chain.call(a, plain.address, "foo")
+        assert chain.call(a, with_foo.address, "foo") == "external"
+
+    def test_undecorated_override_stays_dispatchable(self, chain, funded_accounts):
+        a = funded_accounts[0]
+        with_foo, child = chain.deploy(a, WithFoo), chain.deploy(a, OverridesFoo)
+        for _ in range(2):
+            assert chain.call(a, child.address, "foo") == "override"
+            assert chain.call(a, with_foo.address, "foo") == "external"
+        trace = chain.transact(a, child.address, "foo")
+        assert trace.success and trace.calls[0].function == "foo"
+
+
 class TestTraces:
     def test_happened_before_ordering(self, chain, funded_accounts):
         a = funded_accounts[0]

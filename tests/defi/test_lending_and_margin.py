@@ -62,6 +62,31 @@ class TestBorrow:
                 borrower, market.address, "withdraw_collateral", weth.address, 100 * ETH
             )
 
+    def test_withdraw_blocked_until_callers_own_debt_is_repaid(self, lending):
+        world, weth, usdc, market, borrower = lending
+        other = world.create_attacker("other-borrower")
+        world.fund_weth(other, 1_000 * ETH)
+        world.approve(other, weth, market.address)
+        world.approve(other, usdc, market.address)
+        for account in (borrower, other):
+            world.chain.transact(
+                account, market.address, "borrow",
+                weth.address, 100 * ETH, usdc.address, 50_000 * usdc.unit,
+            )
+        world.chain.transact(borrower, market.address, "repay", usdc.address, 20_000 * usdc.unit)
+        with pytest.raises(Revert, match="outstanding debt"):
+            world.chain.transact(
+                borrower, market.address, "withdraw_collateral", weth.address, 100 * ETH
+            )
+        world.chain.transact(borrower, market.address, "repay", usdc.address, 30_000 * usdc.unit)
+        # another account's outstanding debt does not block this one
+        world.chain.transact(borrower, market.address, "withdraw_collateral", weth.address, 100 * ETH)
+        assert weth.balance_of(borrower) == 1_000 * ETH
+        with pytest.raises(Revert, match="outstanding debt"):
+            world.chain.transact(
+                other, market.address, "withdraw_collateral", weth.address, 100 * ETH
+            )
+
 
 class TestLiquidation:
     def test_liquidator_seizes_with_bonus(self, lending):

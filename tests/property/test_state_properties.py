@@ -1,5 +1,6 @@
 """Property tests: the state journal against a model dict."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,3 +70,54 @@ class TestJournalModel:
         state.commit()
         state.rollback()
         assert_matches(state, model)
+
+
+CHECKPOINT = ("checkpoint", None, None, None)
+step = st.one_of(
+    op,
+    st.just(CHECKPOINT),
+    st.tuples(st.sampled_from(["commit", "rollback"]), st.none(), st.none(), st.none()),
+)
+
+
+class TestNestedJournalModel:
+    """Random interleavings of checkpoints, writes, commits and rollbacks
+    against a stack-of-snapshots model: a checkpoint pushes a copy of the
+    state, a commit drops the top copy, a rollback restores it."""
+
+    @given(
+        st.lists(st.lists(op, max_size=4), min_size=4, max_size=6),
+        st.lists(step, max_size=60),
+    )
+    @settings(max_examples=120)
+    def test_interleavings_match_snapshot_stack(self, levels, tail):
+        # open at least four nested levels (each with some writes), then
+        # continue with an arbitrary mix, closing and reopening levels
+        program = [s for writes in levels for s in [CHECKPOINT, *writes]]
+        program += tail
+        state, model, snapshots = StateJournal(), {}, []
+        for kind, owner, slot, value in program:
+            if kind == "checkpoint":
+                assert state.checkpoint() == len(snapshots) + 1
+                snapshots.append(dict(model))
+            elif kind in ("commit", "rollback"):
+                if not snapshots:
+                    with pytest.raises(RuntimeError):
+                        getattr(state, kind)()
+                else:
+                    getattr(state, kind)()
+                    saved = snapshots.pop()
+                    if kind == "rollback":
+                        model = saved
+            else:
+                apply_ops(state, model, [(kind, owner, slot, value)])
+            assert_matches(state, model)
+            assert len(state) == len(model)
+            assert state.depth == len(snapshots)
+        # rolling back the open levels restores, one by one, the state
+        # each was opened on
+        while snapshots:
+            state.rollback()
+            model = snapshots.pop()
+            assert_matches(state, model)
+        assert state.depth == 0
