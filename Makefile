@@ -80,7 +80,7 @@ robustness-smoke:
 ## per-stage profile of the batch wild scan at a moderate scale; prints
 ## the stage table and writes PROFILE_wildscan.json
 profile:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.runner scan --scale 0.1 --profile
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments scan --scale 0.1 --profile
 
 ## pairwise A/B of the repository benchmark (perfbench/run.py) between
 ## BASE and the working tree: alternating run order, one seed per pair;

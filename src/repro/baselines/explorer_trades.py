@@ -23,7 +23,7 @@ from ..defi.curve import StableSwapPool
 from ..defi.uniswap import UniswapV2Pair
 from ..defi.vault import Vault
 from ..leishen.identify import FlashLoanIdentifier
-from ..leishen.patterns import PatternConfig, PatternMatch, PatternMatcher
+from ..leishen.patterns import PatternMatch, PatternMatcher
 from ..leishen.registry import PatternSettings
 from ..leishen.tagging import AccountTagger
 from ..leishen.trades import Trade, TradeKind
@@ -40,7 +40,7 @@ class ExplorerLeiShen:
     def __init__(
         self,
         chain: "Chain",
-        config: PatternConfig | PatternSettings | None = None,
+        config: PatternSettings = PatternSettings(),
     ) -> None:
         self.chain = chain
         self.identifier = FlashLoanIdentifier()

@@ -427,7 +427,7 @@ class Coordinator:
                     outcomes = None
         finally:
             self.shutdown()
-        if getattr(self.config, "profile", False):
+        if self.config.profile:
             from ..runtime.profile import merge_profiles
 
             with self._lock:
@@ -756,7 +756,7 @@ class Coordinator:
                 "shard": shard,
                 "shard_count": self.shard_count,
             }
-            if getattr(self.config, "profile", False):
+            if self.config.profile:
                 assignment["profile"] = True
             send_message(conn, assignment)
             return True

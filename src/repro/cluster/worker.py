@@ -363,7 +363,7 @@ class ClusterWorker:
             # descriptors are authoritative; re-derive the config so the
             # shard's world is a pure function of what was assigned.
             config = dataclasses.replace(config, seed=seed, scale=scale)
-        if message.get("profile") and not getattr(config, "profile", False):
+        if message.get("profile") and not config.profile:
             # the profile flag rides the assignment, not the config wire
             # (it is an execution knob, excluded from the config digest).
             config = dataclasses.replace(config, profile=True)

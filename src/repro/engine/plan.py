@@ -176,9 +176,8 @@ def build_full_schedule(config) -> tuple[list[Task], int]:
     groups = config.split_attacks
     if groups:
         tasks = tasks + split_schedule_tail(groups, shard_count, config.seed)
-    adversarial = getattr(config, "adversarial", 0)
-    if adversarial:
-        tasks = tasks + adversarial_schedule_tail(adversarial)
+    if config.adversarial:
+        tasks = tasks + adversarial_schedule_tail(config.adversarial)
     return tasks, shard_count
 
 

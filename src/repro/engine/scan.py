@@ -116,23 +116,19 @@ def build_shard_context(cfg, shard_index: int, shard_count: int) -> ShardContext
     from ..leishen.heuristics import YieldAggregatorHeuristic
     from ..leishen.prescreen import PreScreen
     from ..leishen.profit import ProfitAnalyzer
-    from ..leishen.registry import enabled_pattern_keys
     from ..workload.attacks import WildAttackInjector
     from ..workload.generator import PatternRow
     from ..workload.profiles import WildMarket
 
-    profiling = bool(getattr(cfg, "profile", False))
+    profiling = cfg.profile
     started = perf_counter_ns() if profiling else 0
     rng = random.Random(shard_seed(cfg.seed, shard_index))
     world = DeFiWorld(profile=_shard_profile(shard_index, shard_count))
     world.chain.keep_history = cfg.keep_history
     market = WildMarket(world, rng)
     injector = WildAttackInjector(market, rng, cfg.scale)
-    if cfg.pattern_config is not None:
-        detector = world.detector(patterns=cfg.pattern_config)
-    else:
-        detector = world.detector()
-    prescreen = PreScreen() if getattr(cfg, "prescreen", True) else None
+    detector = world.detector(patterns=cfg.pattern_config)
+    prescreen = PreScreen() if cfg.prescreen else None
     profiler = None
     if profiling:
         from ..runtime.profile import StageProfiler
@@ -149,10 +145,7 @@ def build_shard_context(cfg, shard_index: int, shard_count: int) -> ShardContext
         heuristic=YieldAggregatorHeuristic(detector.tagger),
         analyzer=ProfitAnalyzer(world.registry),
         result=ShardResult(shard_index=shard_index),
-        rows={
-            name: PatternRow(name)
-            for name in enabled_pattern_keys(cfg.pattern_config)
-        },
+        rows={name: PatternRow(name) for name in cfg.pattern_config.enabled},
         prescreen=prescreen,
         profiler=profiler,
     )
@@ -168,7 +161,6 @@ def build_replay_context(cfg, shard_index: int, detector) -> ShardContext:
     detections count as unverified in the Table V rows.
     """
     from ..leishen.heuristics import YieldAggregatorHeuristic
-    from ..leishen.registry import enabled_pattern_keys
     from ..workload.generator import PatternRow
 
     return ShardContext(
@@ -180,10 +172,7 @@ def build_replay_context(cfg, shard_index: int, detector) -> ShardContext:
         heuristic=YieldAggregatorHeuristic(detector.tagger),
         analyzer=None,
         result=ShardResult(shard_index=shard_index),
-        rows={
-            name: PatternRow(name)
-            for name in enabled_pattern_keys(cfg.pattern_config)
-        },
+        rows={name: PatternRow(name) for name in cfg.pattern_config.enabled},
     )
 
 
@@ -337,15 +326,11 @@ def merge_shard_results(config, outcomes: list[ShardResult]):
     ``shard_index`` before summing, the merged result is byte-identical no
     matter which process, host or completion order produced the shards.
     """
-    from ..leishen.registry import enabled_pattern_keys
     from ..workload.generator import PatternRow, WildScanResult
 
     result = WildScanResult(
         config=config,
-        rows={
-            name: PatternRow(name)
-            for name in enabled_pattern_keys(config.pattern_config)
-        },
+        rows={name: PatternRow(name) for name in config.pattern_config.enabled},
     )
     for outcome in sorted(outcomes, key=lambda outcome: outcome.shard_index):
         result.total_transactions += outcome.total_transactions
@@ -450,7 +435,7 @@ class ScanEngine:
             outcomes = self._run_parallel(
                 payloads, min(jobs, len(payloads)), on_shard=record
             )
-        if getattr(cfg, "profile", False):
+        if cfg.profile:
             from ..runtime.profile import merge_profiles
 
             self.profile = merge_profiles([o.profile for o in outcomes])

@@ -472,7 +472,7 @@ class StreamEngine:
 
         ordered = [shard_results[index] for index in sorted(shard_results)]
         profile = None
-        if getattr(cfg, "profile", False):
+        if cfg.profile:
             from ..runtime.profile import merge_profiles
 
             profile = merge_profiles([outcome.profile for outcome in ordered])

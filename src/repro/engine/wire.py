@@ -55,9 +55,12 @@ __all__ = [
 #: v2: configs carry ``split_attacks`` (cross-transaction split-attack
 #: groups — identity-relevant, it changes the canonical schedule) and
 #: ground truths carry ``split_group``. Still v2: ``pattern_config``
-#: may be a namespaced pattern-settings object, configs may carry
-#: ``adversarial`` and truths ``family`` — all optional-at-default, so
-#: v2 payloads written by older builds decode unchanged.
+#: is ``null`` for the paper's ``PatternSettings()`` and a namespaced
+#: pattern-settings object otherwise, configs may carry ``adversarial``
+#: and truths ``family`` — all optional-at-default, so default v2
+#: payloads written by older builds decode unchanged. The flat
+#: four-threshold ``pattern_config`` object older builds could write is
+#: no longer read.
 WIRE_VERSION = 2
 
 _CONFIG_FIELDS = frozenset(
@@ -66,13 +69,7 @@ _CONFIG_FIELDS = frozenset(
 )
 #: fields omitted from the payload when at their default value.
 _CONFIG_OPTIONAL = frozenset({"adversarial"})
-_PATTERN_FIELDS = frozenset(
-    {"krp_min_buys", "sbs_min_volatility", "sbs_amount_tolerance",
-     "mbs_min_rounds"}
-)
-#: the namespaced encoding of a ``PatternSettings`` (vs. the flat legacy
-#: ``PatternConfig`` encoding above) — distinguished by the ``enabled``
-#: key, which the flat form can never carry.
+#: the encoding of a non-default ``PatternSettings``.
 _SETTINGS_FIELDS = frozenset({"enabled", "params", "registry"})
 _TRUTH_FIELDS = frozenset(
     {"is_attack", "profile", "net_profit", "source_disclosed",
@@ -113,52 +110,37 @@ def _check_version(payload: dict, what: str) -> None:
         )
 
 
-def _pattern_config_to_wire(cfg):
-    """Encode either pattern-config flavour; ``None`` passes through.
+def _pattern_config_to_wire(settings):
+    """Encode a :class:`~repro.leishen.registry.PatternSettings`.
 
-    A flat :class:`~repro.leishen.patterns.PatternConfig` keeps its
-    legacy four-field encoding byte-for-byte. A
-    :class:`~repro.leishen.registry.PatternSettings` encodes the full
-    identity triple (enabled keys, per-pattern params, registry
+    The paper defaults encode as ``None``, which keeps the digest of
+    every default config what older builds wrote. Anything else encodes
+    the full identity triple (enabled keys, per-pattern params, registry
     version) — so changing the enabled set *or* any threshold yields a
     distinct :func:`config_digest`.
     """
-    if cfg is None:
-        return None
     from ..leishen.registry import PatternSettings
 
-    if isinstance(cfg, PatternSettings):
-        return {
-            "enabled": list(cfg.enabled),
-            "params": {
-                key: dict(values) for key, values in cfg.params
-            },
-            "registry": cfg.registry_version,
-        }
+    if settings == PatternSettings():
+        return None
     return {
-        "krp_min_buys": cfg.krp_min_buys,
-        "sbs_min_volatility": cfg.sbs_min_volatility,
-        "sbs_amount_tolerance": cfg.sbs_amount_tolerance,
-        "mbs_min_rounds": cfg.mbs_min_rounds,
+        "enabled": list(settings.enabled),
+        "params": {key: dict(values) for key, values in settings.params},
+        "registry": settings.registry_version,
     }
 
 
 def _pattern_config_from_wire(payload, what: str):
+    from ..leishen.registry import PatternSettings
+
     if payload is None:
-        return None
-    if isinstance(payload, dict) and "enabled" in payload:
-        from ..leishen.registry import PatternSettings
-
-        _check_payload(payload, _SETTINGS_FIELDS, what)
-        return PatternSettings.make(
-            enabled=payload["enabled"],
-            params=payload["params"],
-            registry_version=payload["registry"],
-        )
-    from ..leishen.patterns import PatternConfig
-
-    _check_payload(payload, _PATTERN_FIELDS, what)
-    return PatternConfig(**payload)
+        return PatternSettings()
+    _check_payload(payload, _SETTINGS_FIELDS, what)
+    return PatternSettings.make(
+        enabled=payload["enabled"],
+        params=payload["params"],
+        registry_version=payload["registry"],
+    )
 
 
 def config_to_wire(config) -> dict:
@@ -178,9 +160,8 @@ def config_to_wire(config) -> dict:
         "shards": config.shards,
         "split_attacks": config.split_attacks,
     }
-    adversarial = getattr(config, "adversarial", 0)
-    if adversarial:
-        payload["adversarial"] = adversarial
+    if config.adversarial:
+        payload["adversarial"] = config.adversarial
     return payload
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..leishen.detector import LeiShen, LeiShenConfig
-from ..leishen.patterns import PatternConfig
+from ..leishen.registry import PatternSettings
 from ..leishen.simplify import SimplifierConfig
 from ..study.catalog import FLP_ATTACKS
 from ..study.scenarios import SCENARIO_BUILDERS, ScenarioOutcome
@@ -84,20 +84,23 @@ def run_threshold_sweep(scale: float = 0.02, seed: int = 7) -> list[tuple[str, i
     5 -> 3, SBS volatility 28% -> 10%, MBS rounds 3 -> 2) increases
     detections and decreases precision.
     """
+    krp = {"KRP": {"min_buys": 3}}
+    sbs = {"SBS": {"min_volatility": 0.10}}
+    mbs = {"MBS": {"min_rounds": 2}}
     sweeps = [
-        ("paper thresholds", PatternConfig()),
-        ("relaxed KRP (3 buys)", PatternConfig(krp_min_buys=3)),
-        ("relaxed SBS (10% vol)", PatternConfig(sbs_min_volatility=0.10)),
-        ("relaxed MBS (2 rounds)", PatternConfig(mbs_min_rounds=2)),
-        (
-            "all relaxed",
-            PatternConfig(krp_min_buys=3, sbs_min_volatility=0.10, mbs_min_rounds=2),
-        ),
+        ("paper thresholds", {}),
+        ("relaxed KRP (3 buys)", krp),
+        ("relaxed SBS (10% vol)", sbs),
+        ("relaxed MBS (2 rounds)", mbs),
+        ("all relaxed", {**krp, **sbs, **mbs}),
     ]
     results = []
-    for name, pattern_config in sweeps:
+    for name, params in sweeps:
         result = WildScanner(
-            WildScanConfig(scale=scale, seed=seed, pattern_config=pattern_config)
+            WildScanConfig(
+                scale=scale, seed=seed,
+                pattern_config=PatternSettings.make(params=params),
+            )
         ).run()
         results.append(
             (name, result.detected_count, result.true_positives, result.precision)

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import time
 
+from ..cluster.coordinator import DEFAULT_HEARTBEAT_TIMEOUT
 from ..workload.generator import WildScanConfig, WildScanner
+from .scan import _maybe_compacting
 
 __all__ = [
-    "run_local", "render_local", "render_serve", "render_standby",
+    "DEFAULT_HEARTBEAT_TIMEOUT", "render_local", "render_serve", "render_standby",
     "render_worker",
 ]
 
@@ -40,52 +42,6 @@ def _parse_address(text: str, flag: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise ValueError(f"{flag} expects HOST:PORT, got {text!r}")
     return host, int(port)
-
-
-def run_local(
-    scale: float = 0.1,
-    seed: int = 7,
-    workers: int = 2,
-    shards: int | None = None,
-    heartbeat_timeout: float | None = None,
-    autoscale: bool = False,
-    min_workers: int = 0,
-    max_workers: int | None = None,
-    ledger=None,
-    compact_every: int | None = None,
-    prescreen: bool = True,
-    profile: bool = False,
-):
-    """Coordinator + ``workers`` local workers; returns
-    ``(result, stats, elapsed_s, profile_payload)``.
-
-    ``ledger`` (a path or an open :class:`repro.runtime.RunLedger`)
-    journals every completed shard; a killed coordinator resumes from
-    the same path, scheduling only the shards the journal is missing.
-    ``compact_every`` folds the journal into a snapshot record every N
-    appended shards. ``profile=True`` asks every worker for its
-    per-shard stage profile (protocol v4); the coordinator's merged
-    payload is returned last.
-    """
-    from ..cluster import run_cluster_scan
-    from .scan import _maybe_compacting
-
-    config = WildScanConfig(
-        scale=scale, seed=seed, shards=shards, prescreen=prescreen, profile=profile
-    )
-    ledger = _maybe_compacting(ledger, config, compact_every)
-    options = {}
-    if heartbeat_timeout is not None:
-        options["heartbeat_timeout"] = heartbeat_timeout
-    if ledger is not None:
-        options["ledger"] = ledger
-    if autoscale:
-        options.update(
-            autoscale=True, min_workers=min_workers, max_workers=max_workers
-        )
-    start = time.perf_counter()
-    result, stats = run_cluster_scan(config, workers=workers, **options)
-    return result, stats, time.perf_counter() - start, getattr(stats, "profile", None)
 
 
 def _summary_lines(result, stats, elapsed: float, workers_label: str) -> list[str]:
@@ -118,37 +74,46 @@ def _summary_lines(result, stats, elapsed: float, workers_label: str) -> list[st
 
 
 def render_local(
-    scale: float = 0.1,
-    seed: int = 7,
+    config: WildScanConfig,
     workers: int = 2,
-    shards: int | None = None,
-    heartbeat_timeout: float | None = None,
+    heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
     autoscale: bool = False,
     min_workers: int = 0,
     max_workers: int | None = None,
     verify: bool = True,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
-    profile: bool = False,
     profile_out=None,
 ) -> str:
-    """Single-machine cluster run; optionally verify against the batch
-    engine (doubles the work — skip with ``--no-verify`` at full scale)."""
-    result, stats, elapsed, profile_payload = run_local(
-        scale=scale, seed=seed, workers=workers, shards=shards,
+    """Coordinator + ``workers`` local workers; optionally verify against
+    the batch engine (doubles the work — skip with ``--no-verify`` at
+    full scale).
+
+    ``ledger`` (a path or an open :class:`repro.runtime.RunLedger`)
+    journals every completed shard; a killed coordinator resumes from
+    the same path, scheduling only the shards the journal is missing.
+    ``compact_every`` folds the journal into a snapshot record every N
+    appended shards. ``config.profile`` asks every worker for its
+    per-shard stage profile (protocol v4) and prints the merged one.
+    """
+    from ..cluster import run_cluster_scan
+
+    start = time.perf_counter()
+    result, stats = run_cluster_scan(
+        config,
+        workers=workers,
+        autoscale=autoscale,
+        min_workers=min_workers,
+        max_workers=max_workers,
         heartbeat_timeout=heartbeat_timeout,
-        autoscale=autoscale, min_workers=min_workers, max_workers=max_workers,
-        ledger=ledger, compact_every=compact_every,
-        prescreen=prescreen, profile=profile,
+        ledger=_maybe_compacting(ledger, config, compact_every),
     )
+    elapsed = time.perf_counter() - start
     lines = _summary_lines(
         result, stats, elapsed, f"{stats.workers_seen} local worker(s)"
     )
     if verify:
-        batch = WildScanner(
-            WildScanConfig(scale=scale, seed=seed, shards=shards)
-        ).run()
+        batch = WildScanner(config).run()
         identical = (
             [d.tx_hash for d in batch.detections]
             == [d.tx_hash for d in result.detections]
@@ -159,44 +124,33 @@ def render_local(
                 "identity violation: cluster scan diverged from ScanEngine.run()"
             )
         lines.append("identity: merged result byte-identical to the batch engine")
-    if profile_payload is not None:
+    if stats.profile is not None:
         from ..runtime.profile import render_profile, write_profile
 
-        lines.append(render_profile(profile_payload))
+        lines.append(render_profile(stats.profile))
         if profile_out is not None:
             lines.append(
-                f"profile written to {write_profile(profile_payload, profile_out)}"
+                f"profile written to {write_profile(stats.profile, profile_out)}"
             )
     return "\n".join(lines)
 
 
 def render_serve(
-    scale: float = 0.1,
-    seed: int = 7,
-    shards: int | None = None,
+    config: WildScanConfig,
     host: str = "0.0.0.0",
     port: int = 9733,
-    heartbeat_timeout: float | None = None,
+    heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
-    profile: bool = False,
     profile_out=None,
 ) -> str:
     """Coordinator-only mode: wait for remote workers, then merge."""
     from ..cluster import Coordinator
-    from .scan import _maybe_compacting
 
-    config = WildScanConfig(
-        scale=scale, seed=seed, shards=shards, prescreen=prescreen, profile=profile
+    coordinator = Coordinator(
+        config, host=host, port=port, heartbeat_timeout=heartbeat_timeout,
+        ledger=_maybe_compacting(ledger, config, compact_every),
     )
-    ledger = _maybe_compacting(ledger, config, compact_every)
-    options = {}
-    if heartbeat_timeout is not None:
-        options["heartbeat_timeout"] = heartbeat_timeout
-    if ledger is not None:
-        options["ledger"] = ledger
-    coordinator = Coordinator(config, host=host, port=port, **options)
     bound_host, bound_port = coordinator.address
     print(
         f"coordinator serving {coordinator.shard_count} shard(s) on "
@@ -224,16 +178,12 @@ def render_serve(
 
 
 def render_standby(
-    scale: float = 0.1,
-    seed: int = 7,
-    shards: int | None = None,
+    config: WildScanConfig,
     primary: str = "",
     host: str = "0.0.0.0",
     port: int = 0,
-    heartbeat_timeout: float | None = None,
+    heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
     ledger=None,
-    prescreen: bool = True,
-    profile: bool = False,
 ) -> str:
     """Hot-standby mode: follow the primary coordinator at ``primary``
     (``HOST:PORT``), adopt the shared ``ledger`` journal when the
@@ -244,19 +194,13 @@ def render_standby(
 
     if ledger is None:
         raise ValueError("--standby requires --ledger/--resume (the shared journal)")
-    config = WildScanConfig(
-        scale=scale, seed=seed, shards=shards, prescreen=prescreen, profile=profile
-    )
-    options = {}
-    if heartbeat_timeout is not None:
-        options["heartbeat_timeout"] = heartbeat_timeout
     standby = StandbyCoordinator(
         config,
         primary=_parse_address(primary, "--standby"),
         ledger=ledger,
         host=host,
         port=port,
-        coordinator_options=options or None,
+        coordinator_options={"heartbeat_timeout": heartbeat_timeout},
     )
     standby.start()
     bound_host, bound_port = standby.address

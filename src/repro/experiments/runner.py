@@ -2,8 +2,8 @@
 
 Usage::
 
-    python -m repro.experiments.runner all
-    python -m repro.experiments.runner table5 --scale 0.1
+    python -m repro.experiments all
+    python -m repro.experiments table5 --scale 0.1
     leishen table4            # via the installed console script
 """
 
@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 
+from ..workload.generator import WildScanConfig, WildScanner
 from . import ablations, cluster, fig1, fig8, perf, robustness, scan, service, stream, table1, table4, table5, table6, table7
 
 __all__ = ["main"]
@@ -23,63 +24,57 @@ _EXPERIMENTS = ("fig1", "table1", "table4", "table5", "table6", "table7", "fig8"
 #: the scan-service front (repro.experiments.service / repro.service).
 _SERVICE_COMMANDS = ("serve", "submit", "status", "results")
 
+#: experiments that take nothing from the command line.
+_STATIC = {"fig1": fig1, "table1": table1, "table4": table4, "perf": perf,
+           "ablations": ablations}
 
-def _run_one(
-    name: str,
-    scale: float,
-    jobs: int = 1,
-    shards: int | None = None,
-    queue_depth: int | None = None,
-    block_size: int | None = None,
-    ledger: str | None = None,
-    compact_every: int | None = None,
-    prescreen: bool = True,
-    profile: bool = False,
-    profile_out: str | None = None,
-    windowed: bool = False,
-    window_blocks: int | None = None,
-    split_attacks: int = 0,
-    seed: int = 7,
-    instances: int | None = None,
-) -> str:
-    if name == "fig1":
-        return fig1.render()
-    if name == "table1":
-        return table1.render()
-    if name == "table4":
-        return table4.render()
-    if name == "table5":
-        return table5.render(scale=scale, jobs=jobs, shards=shards)
-    if name == "table6":
-        return table6.render(scale=scale, jobs=jobs, shards=shards)
-    if name == "table7":
-        return table7.render(scale=scale, jobs=jobs, shards=shards)
-    if name == "fig8":
-        return fig8.render(scale=scale, jobs=jobs, shards=shards)
-    if name == "perf":
-        return perf.render()
-    if name == "ablations":
-        return ablations.render()
+#: views of one wild-scan result: ``all`` scans once and renders each.
+_WILD_SCAN_VIEWS = {"table5": table5, "table6": table6, "table7": table7, "fig8": fig8}
+
+
+def _run_one(name: str, config: WildScanConfig, args, ledger: str | None) -> str:
+    """Render one experiment that is not a view of the shared wild scan."""
+    if name in _STATIC:
+        return _STATIC[name].render()
     if name == "robustness":
         return robustness.render(
-            seed=seed,
-            instances=instances if instances is not None
+            seed=config.seed,
+            instances=args.instances if args.instances is not None
             else robustness.DEFAULT_INSTANCES,
         )
     if name == "scan":
         return scan.render(
-            scale=scale, jobs=jobs, shards=shards, ledger=ledger,
-            compact_every=compact_every,
-            prescreen=prescreen, profile=profile, profile_out=profile_out,
+            config, ledger=ledger, compact_every=args.compact_every,
+            profile_out=args.profile_out,
         )
     if name == "stream":
         return stream.render(
-            scale=scale, jobs=jobs, shards=shards,
-            queue_depth=queue_depth, block_size=block_size, ledger=ledger,
-            compact_every=compact_every,
-            prescreen=prescreen, profile=profile, profile_out=profile_out,
-            windowed=windowed, window_blocks=window_blocks,
-            split_attacks=split_attacks,
+            config, queue_depth=args.queue_depth, block_size=args.block_size,
+            ledger=ledger, compact_every=args.compact_every,
+            profile_out=args.profile_out, windowed=args.windowed,
+            window_blocks=args.window_blocks or stream.DEFAULT_WINDOW_BLOCKS,
+        )
+    if name == "cluster":
+        if args.connect:
+            return cluster.render_worker(args.connect)
+        if args.standby:
+            return cluster.render_standby(
+                config, primary=args.standby, host=args.host, port=args.port,
+                heartbeat_timeout=args.heartbeat_timeout, ledger=ledger,
+            )
+        if args.serve:
+            return cluster.render_serve(
+                config, host=args.host, port=args.port,
+                heartbeat_timeout=args.heartbeat_timeout, ledger=ledger,
+                compact_every=args.compact_every, profile_out=args.profile_out,
+            )
+        return cluster.render_local(
+            config, workers=args.workers,
+            heartbeat_timeout=args.heartbeat_timeout,
+            autoscale=args.autoscale, min_workers=args.min_workers,
+            max_workers=args.max_workers, verify=not args.no_verify,
+            ledger=ledger, compact_every=args.compact_every,
+            profile_out=args.profile_out,
         )
     raise ValueError(f"unknown experiment {name!r}")
 
@@ -125,13 +120,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--queue-depth",
         type=int,
-        default=None,
+        default=stream.DEFAULT_QUEUE_DEPTH,
         help="stream only: per-worker bounded queue size (backpressure knob)",
     )
     parser.add_argument(
         "--block-size",
         type=int,
-        default=None,
+        default=stream.DEFAULT_BLOCK_SIZE,
         help="stream only: transactions per simulated block",
     )
     parser.add_argument(
@@ -199,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--heartbeat-timeout",
         type=float,
-        default=None,
+        default=cluster.DEFAULT_HEARTBEAT_TIMEOUT,
         help="cluster only: seconds without a heartbeat before a worker's "
         "shards are requeued",
     )
@@ -263,9 +258,10 @@ def main(argv: list[str] | None = None) -> int:
         "--seed",
         type=int,
         default=7,
-        help="submit/robustness: wild-scan or sweep seed (default 7; for "
-        "submit it is part of the run's identity, so a re-submit with "
-        "the same seed/scale/shards coalesces)",
+        help="wild-scan seed of table5/6/7, fig8, scan, stream, cluster "
+        "and submit, and the robustness sweep seed (default 7); part of "
+        "a scan's identity, so a ledger resumes and a re-submit "
+        "coalesces only under the same seed/scale/shards",
     )
     parser.add_argument(
         "--instances",
@@ -376,9 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.shards is not None and args.shards < 1:
         parser.error(f"--shards must be >= 1, got {args.shards}")
-    if args.queue_depth is not None and args.queue_depth < 1:
+    if args.queue_depth < 1:
         parser.error(f"--queue-depth must be >= 1, got {args.queue_depth}")
-    if args.block_size is not None and args.block_size < 1:
+    if args.block_size < 1:
         parser.error(f"--block-size must be >= 1, got {args.block_size}")
     if args.window_blocks is not None and args.window_blocks < 1:
         parser.error(f"--window-blocks must be >= 1, got {args.window_blocks}")
@@ -473,54 +469,21 @@ def main(argv: list[str] | None = None) -> int:
         print()
         return 0
 
-    if args.experiment == "cluster":
-        start = time.perf_counter()
-        if args.connect:
-            output = cluster.render_worker(args.connect)
-        elif args.standby:
-            output = cluster.render_standby(
-                scale=scale, shards=args.shards, primary=args.standby,
-                host=args.host, port=args.port,
-                heartbeat_timeout=args.heartbeat_timeout, ledger=ledger,
-                prescreen=not args.no_prescreen, profile=args.profile,
-            )
-        elif args.serve:
-            output = cluster.render_serve(
-                scale=scale, shards=args.shards, host=args.host, port=args.port,
-                heartbeat_timeout=args.heartbeat_timeout, ledger=ledger,
-                compact_every=args.compact_every,
-                prescreen=not args.no_prescreen, profile=args.profile,
-                profile_out=args.profile_out,
-            )
-        else:
-            output = cluster.render_local(
-                scale=scale, workers=args.workers, shards=args.shards,
-                heartbeat_timeout=args.heartbeat_timeout,
-                autoscale=args.autoscale, min_workers=args.min_workers,
-                max_workers=args.max_workers,
-                verify=not args.no_verify,
-                ledger=ledger, compact_every=args.compact_every,
-                prescreen=not args.no_prescreen, profile=args.profile,
-                profile_out=args.profile_out,
-            )
-        print(f"=== cluster ({time.perf_counter() - start:.1f}s) ===")
-        print(output)
-        print()
-        return 0
-
+    config = WildScanConfig(
+        scale=scale, seed=args.seed, jobs=args.jobs, shards=args.shards,
+        prescreen=not args.no_prescreen, profile=args.profile,
+        split_attacks=args.split_attacks,
+    )
+    scanned = None
     names = list(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         start = time.perf_counter()
-        output = _run_one(
-            name, scale, jobs=args.jobs, shards=args.shards,
-            queue_depth=args.queue_depth, block_size=args.block_size,
-            ledger=ledger, compact_every=args.compact_every,
-            prescreen=not args.no_prescreen, profile=args.profile,
-            profile_out=args.profile_out,
-            windowed=args.windowed, window_blocks=args.window_blocks,
-            split_attacks=args.split_attacks,
-            seed=args.seed, instances=args.instances,
-        )
+        if name in _WILD_SCAN_VIEWS:
+            if scanned is None:
+                scanned = WildScanner(config).run()
+            output = _WILD_SCAN_VIEWS[name].render(scanned)
+        else:
+            output = _run_one(name, config, args, ledger)
         elapsed = time.perf_counter() - start
         print(f"=== {name} ({elapsed:.1f}s) ===")
         print(output)

@@ -17,7 +17,7 @@ import time
 
 from ..workload.generator import WildScanConfig
 
-__all__ = ["run", "render"]
+__all__ = ["render"]
 
 
 def _maybe_compacting(ledger, config, compact_every: int | None):
@@ -33,59 +33,29 @@ def _maybe_compacting(ledger, config, compact_every: int | None):
     return RunLedger.for_config(ledger, config, compact_every=compact_every)
 
 
-def run(
-    scale: float = 0.1,
-    seed: int = 7,
-    jobs: int = 1,
-    shards: int | None = None,
-    ledger=None,
-    compact_every: int | None = None,
-    prescreen: bool = True,
-    profile: bool = False,
-):
-    """Run the batch scan; returns ``(result, engine, elapsed_s)``.
+def render(config: WildScanConfig, ledger=None, compact_every: int | None = None,
+           profile_out=None) -> str:
+    """Run the batch scan for ``config`` and summarise it.
 
     ``ledger`` is a path (or an open :class:`repro.runtime.RunLedger`):
     completed shards are journaled as they finish and already-journaled
     shards are skipped, so a killed run resumes where it left off.
     ``compact_every`` folds the journal into a snapshot record every N
     appended shards (``--compact-every``), keeping replay cost flat.
-    ``prescreen``/``profile`` are execution knobs only — neither changes
-    a result byte; a profiled run leaves the merged stage profile on
-    ``engine.profile``.
+    ``config.prescreen``/``config.profile`` are execution knobs only —
+    neither changes a result byte; a profiled run also prints the merged
+    stage profile and writes it to ``profile_out`` when given.
     """
     from ..engine import ScanEngine
 
-    config = WildScanConfig(
-        scale=scale, seed=seed, jobs=jobs, shards=shards,
-        prescreen=prescreen, profile=profile,
-    )
-    ledger = _maybe_compacting(ledger, config, compact_every)
-    engine = ScanEngine(config, ledger=ledger)
+    engine = ScanEngine(config, ledger=_maybe_compacting(ledger, config, compact_every))
     start = time.perf_counter()
     result = engine.run()
-    return result, engine, time.perf_counter() - start
-
-
-def render(
-    scale: float = 0.1,
-    seed: int = 7,
-    jobs: int = 1,
-    shards: int | None = None,
-    ledger=None,
-    compact_every: int | None = None,
-    prescreen: bool = True,
-    profile: bool = False,
-    profile_out=None,
-) -> str:
-    result, engine, elapsed = run(
-        scale=scale, seed=seed, jobs=jobs, shards=shards, ledger=ledger,
-        compact_every=compact_every, prescreen=prescreen, profile=profile,
-    )
+    elapsed = time.perf_counter() - start
     txs_per_s = result.total_transactions / elapsed if elapsed else 0.0
     lines = [
-        f"Wild scan at scale {scale} — {result.total_transactions} txs "
-        f"in {elapsed:.2f}s ({txs_per_s:,.0f} txs/s, jobs={jobs})",
+        f"Wild scan at scale {config.scale} — {result.total_transactions} txs "
+        f"in {elapsed:.2f}s ({txs_per_s:,.0f} txs/s, jobs={config.jobs})",
         f"detections: {result.detected_count} ({result.true_positives} true, "
         f"precision {result.precision:.1%})",
     ]

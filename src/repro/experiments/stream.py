@@ -8,98 +8,46 @@ the streaming pipeline of :mod:`repro.engine.stream`.
 
 from __future__ import annotations
 
-from ..engine.stream import DEFAULT_WINDOW_BLOCKS, StreamEngine, StreamResult
+from ..engine.stream import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_QUEUE_DEPTH,
+    DEFAULT_WINDOW_BLOCKS,
+    StreamEngine,
+)
 from ..workload.generator import WildScanConfig
+from .scan import _maybe_compacting
 
-__all__ = ["DEFAULT_WINDOW_BLOCKS", "run", "run_with_engine", "render"]
-
-
-def run(
-    scale: float = 0.1,
-    seed: int = 7,
-    jobs: int = 1,
-    shards: int | None = None,
-    queue_depth: int | None = None,
-    block_size: int | None = None,
-    ledger=None,
-    compact_every: int | None = None,
-    prescreen: bool = True,
-    profile: bool = False,
-    windowed: bool = False,
-    window_blocks: int | None = None,
-    split_attacks: int = 0,
-) -> StreamResult:
-    """``ledger`` (path or open RunLedger) journals shard results at end
-    of stream and skips already-journaled shards on resume; use
-    :func:`run_with_engine` when the resume/record counters are needed."""
-    return run_with_engine(
-        scale=scale, seed=seed, jobs=jobs, shards=shards,
-        queue_depth=queue_depth, block_size=block_size, ledger=ledger,
-        compact_every=compact_every, prescreen=prescreen, profile=profile,
-        windowed=windowed, window_blocks=window_blocks,
-        split_attacks=split_attacks,
-    )[0]
-
-
-def run_with_engine(
-    scale: float = 0.1,
-    seed: int = 7,
-    jobs: int = 1,
-    shards: int | None = None,
-    queue_depth: int | None = None,
-    block_size: int | None = None,
-    ledger=None,
-    compact_every: int | None = None,
-    prescreen: bool = True,
-    profile: bool = False,
-    windowed: bool = False,
-    window_blocks: int | None = None,
-    split_attacks: int = 0,
-) -> tuple[StreamResult, StreamEngine]:
-    config = WildScanConfig(
-        scale=scale, seed=seed, jobs=jobs, shards=shards,
-        prescreen=prescreen, profile=profile, split_attacks=split_attacks,
-    )
-    from .scan import _maybe_compacting
-
-    ledger = _maybe_compacting(ledger, config, compact_every)
-    kwargs = {}
-    if queue_depth is not None:
-        kwargs["queue_depth"] = queue_depth
-    if block_size is not None:
-        kwargs["block_size"] = block_size
-    if window_blocks is not None:
-        kwargs["window_blocks"] = window_blocks
-    engine = StreamEngine(config, ledger=ledger, windowed=windowed, **kwargs)
-    return engine.run(), engine
+__all__ = ["DEFAULT_BLOCK_SIZE", "DEFAULT_QUEUE_DEPTH", "DEFAULT_WINDOW_BLOCKS", "render"]
 
 
 def render(
-    scale: float = 0.1,
-    jobs: int = 1,
-    shards: int | None = None,
-    queue_depth: int | None = None,
-    block_size: int | None = None,
+    config: WildScanConfig,
+    queue_depth: int = DEFAULT_QUEUE_DEPTH,
+    block_size: int = DEFAULT_BLOCK_SIZE,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
-    profile: bool = False,
     profile_out=None,
     windowed: bool = False,
-    window_blocks: int | None = None,
-    split_attacks: int = 0,
+    window_blocks: int = DEFAULT_WINDOW_BLOCKS,
 ) -> str:
-    streamed, engine = run_with_engine(
-        scale=scale, jobs=jobs, shards=shards,
-        queue_depth=queue_depth, block_size=block_size, ledger=ledger,
-        compact_every=compact_every, prescreen=prescreen, profile=profile,
-        windowed=windowed, window_blocks=window_blocks,
-        split_attacks=split_attacks,
+    """Stream the scan for ``config`` and summarise it.
+
+    ``ledger`` (path or open RunLedger) journals shard results at end of
+    stream and skips already-journaled shards on resume.
+    """
+    engine = StreamEngine(
+        config,
+        queue_depth=queue_depth,
+        block_size=block_size,
+        ledger=_maybe_compacting(ledger, config, compact_every),
+        windowed=windowed,
+        window_blocks=window_blocks,
     )
+    streamed = engine.run()
     result = streamed.result
     alert_blocks = [stats for stats in streamed.blocks if stats.detections]
     lines = [
-        f"Streaming scan at scale {scale} — {streamed.total_transactions} txs in "
+        f"Streaming scan at scale {config.scale} — {streamed.total_transactions} txs in "
         f"{len(streamed.blocks)} blocks ({streamed.shard_count} shards, "
         f"{streamed.jobs} workers, queue depth {streamed.queue_depth}, "
         f"{streamed.block_size} txs/block)",
@@ -136,10 +84,10 @@ def render(
                     else ")"
                 )
             )
-        if split_attacks:
-            recall = windowed_recall(streamed.windowed, range(split_attacks))
+        if config.split_attacks:
+            recall = windowed_recall(streamed.windowed, range(config.split_attacks))
             lines.append(
-                f"windowed recall on {split_attacks} labelled split "
+                f"windowed recall on {config.split_attacks} labelled split "
                 f"attack(s): {recall:.0%}"
             )
     if engine.ledger is not None:

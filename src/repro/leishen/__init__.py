@@ -5,7 +5,7 @@ from .export import report_to_dict, report_to_json, scan_result_to_dict
 from .heuristics import DEFAULT_AGGREGATOR_APPS, YieldAggregatorHeuristic
 from .identify import FlashLoan, FlashLoanIdentifier, PROVIDERS
 from .labels import LabelDatabase, app_name_of_label
-from .patterns import AttackPattern, PatternConfig, PatternMatch, PatternMatcher
+from .patterns import AttackPattern, PatternMatch, PatternMatcher
 from .prescreen import PreScreen
 from .profit import ProfitAnalyzer, ProfitBreakdown, profit_statistics
 from .registry import (
@@ -16,7 +16,6 @@ from .registry import (
     PatternRegistry,
     PatternSettings,
     default_registry,
-    enabled_pattern_keys,
 )
 from .report import AttackReport, pair_volatilities, price_volatility
 from .simplify import AppTransfer, SimplifierConfig, TransferSimplifier
@@ -41,7 +40,6 @@ __all__ = [
     "Pattern",
     "PatternRegistry",
     "PatternSettings",
-    "PatternConfig",
     "PatternMatch",
     "PatternMatcher",
     "PreScreen",
@@ -58,7 +56,6 @@ __all__ = [
     "YieldAggregatorHeuristic",
     "app_name_of_label",
     "default_registry",
-    "enabled_pattern_keys",
     "pair_volatilities",
     "report_to_dict",
     "report_to_json",

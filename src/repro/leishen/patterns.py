@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..chain.types import Address
+from .registry import PatternSettings, default_registry
 from .tagging import Tag
 from .trades import Trade
 
-__all__ = ["AttackPattern", "PatternConfig", "PatternMatch", "PatternMatcher"]
+__all__ = ["AttackPattern", "PatternMatch", "PatternMatcher"]
 
 
 class AttackPattern(enum.StrEnum):
@@ -49,20 +50,6 @@ class AttackPattern(enum.StrEnum):
     KRP = "KRP"
     SBS = "SBS"
     MBS = "MBS"
-
-
-@dataclass(frozen=True, slots=True)
-class PatternConfig:
-    """Detection thresholds; defaults are the paper's calibrated minima."""
-
-    #: KRP condition (c): minimum number of buy trades.
-    krp_min_buys: int = 5
-    #: SBS condition (c): minimum relative price rise between trade1 and trade2.
-    sbs_min_volatility: float = 0.28
-    #: SBS condition (a): relative tolerance on the symmetrical amounts.
-    sbs_amount_tolerance: float = 0.001
-    #: MBS condition (c): minimum number of profitable rounds.
-    mbs_min_rounds: int = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,17 +76,10 @@ class PatternMatch:
 class PatternMatcher:
     """Runs the enabled registry patterns over a transaction's trade list."""
 
-    def __init__(self, config=None) -> None:
-        from .registry import PatternSettings, default_registry
-
-        self.settings = PatternSettings.from_value(config)
+    def __init__(self, settings: PatternSettings = PatternSettings()) -> None:
+        self.settings = settings
         self.registry = default_registry()
-        self._patterns = self.registry.select(self.settings.enabled)
-
-    @property
-    def config(self) -> PatternConfig:
-        """Flat paper-config view (legacy callers; paper thresholds only)."""
-        return self.settings.to_legacy_config()
+        self._patterns = self.registry.select(settings.enabled)
 
     def match(self, trades: Sequence[Trade], borrower: Tag) -> list[PatternMatch]:
         """All pattern matches for the given flash-loan borrower tag."""

@@ -21,11 +21,9 @@ payloads, and ground-truth labels all carry these keys; the
 Configuration is namespaced per pattern key via
 :class:`PatternSettings` — a frozen, hashable value carrying the
 *enabled* key tuple (match order!) and per-pattern parameter
-overrides. The legacy flat :class:`PatternConfig` field names
-(``krp_min_buys`` …) are still accepted everywhere a settings value is
-and normalise through :meth:`PatternSettings.from_value`; with the
-default registry the results are byte-identical to the pre-registry
-matcher.
+overrides. ``PatternSettings()`` is the paper's selection and
+thresholds; with the default registry its results are byte-identical
+to the pre-registry matcher.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ from ..chain.types import Address
 from .tagging import Tag
 from .trades import Trade, TradeKind
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (patterns imports us lazily)
-    from .patterns import PatternConfig, PatternMatch
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (patterns imports this module)
+    from .patterns import PatternMatch
 
 __all__ = [
     "ALL_PATTERN_KEYS",
@@ -49,7 +47,6 @@ __all__ = [
     "PatternRegistry",
     "PatternSettings",
     "default_registry",
-    "enabled_pattern_keys",
 ]
 
 #: Bumped whenever a plugin's matching semantics change; part of the
@@ -62,14 +59,6 @@ PAPER_PATTERN_KEYS: tuple[str, ...] = ("KRP", "SBS", "MBS")
 
 #: Every pattern the default registry ships.
 ALL_PATTERN_KEYS: tuple[str, ...] = PAPER_PATTERN_KEYS + ("SANDWICH", "MINT", "DONATION")
-
-#: Legacy flat ``PatternConfig`` field -> (pattern key, parameter name).
-LEGACY_FIELD_MAP: dict[str, tuple[str, str]] = {
-    "krp_min_buys": ("KRP", "min_buys"),
-    "sbs_min_volatility": ("SBS", "min_volatility"),
-    "sbs_amount_tolerance": ("SBS", "amount_tolerance"),
-    "mbs_min_rounds": ("MBS", "min_rounds"),
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,33 +96,6 @@ class PatternSettings:
             )
         return cls(enabled=keys, params=packed, registry_version=registry_version)
 
-    @classmethod
-    def from_value(
-        cls, value: "PatternSettings | PatternConfig | None"
-    ) -> "PatternSettings":
-        """Normalise any accepted pattern-config value.
-
-        ``None`` means the defaults; a legacy flat
-        :class:`~repro.leishen.patterns.PatternConfig` maps through
-        :data:`LEGACY_FIELD_MAP`; a :class:`PatternSettings` passes
-        through unchanged.
-        """
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        from .patterns import PatternConfig
-
-        if isinstance(value, PatternConfig):
-            params: dict[str, dict[str, float | int]] = {}
-            for legacy, (key, name) in LEGACY_FIELD_MAP.items():
-                params.setdefault(key, {})[name] = getattr(value, legacy)
-            return cls.make(enabled=PAPER_PATTERN_KEYS, params=params)
-        raise TypeError(
-            f"pattern config must be PatternSettings, PatternConfig or None, "
-            f"got {type(value).__name__}"
-        )
-
     def params_for(self, key: str) -> dict[str, float | int]:
         for pattern_key, values in self.params:
             if pattern_key == key:
@@ -142,17 +104,6 @@ class PatternSettings:
 
     def param(self, key: str, name: str, default: float | int) -> float | int:
         return self.params_for(key).get(name, default)
-
-    def to_legacy_config(self) -> "PatternConfig":
-        """Project onto the flat paper config (best effort; paper keys only)."""
-        from .patterns import PatternConfig
-
-        base = PatternConfig()
-        kwargs = {
-            legacy: self.param(key, name, getattr(base, legacy))
-            for legacy, (key, name) in LEGACY_FIELD_MAP.items()
-        }
-        return PatternConfig(**kwargs)
 
 
 @runtime_checkable
@@ -601,10 +552,3 @@ _DEFAULT_REGISTRY = PatternRegistry(
 
 def default_registry() -> PatternRegistry:
     return _DEFAULT_REGISTRY
-
-
-def enabled_pattern_keys(
-    config: "PatternSettings | PatternConfig | None",
-) -> tuple[str, ...]:
-    """The enabled pattern keys for any accepted pattern-config value."""
-    return PatternSettings.from_value(config).enabled

@@ -73,11 +73,12 @@ class TestExplorerLeiShen:
         explorer = ExplorerLeiShen(harvest_outcome.world.chain, settings)
         assert not explorer.detect(harvest_outcome.trace)
 
-    def test_legacy_flat_config_still_tunes_thresholds(self, harvest_outcome):
-        from repro.leishen import PatternConfig
+    def test_settings_seam_tunes_thresholds(self, harvest_outcome):
+        from repro.leishen.registry import PatternSettings
 
         strict = ExplorerLeiShen(
-            harvest_outcome.world.chain, PatternConfig(mbs_min_rounds=99)
+            harvest_outcome.world.chain,
+            PatternSettings.make(params={"MBS": {"min_rounds": 99}}),
         )
         assert not strict.detect(harvest_outcome.trace)
 

@@ -27,7 +27,7 @@ from repro.engine.wire import (
     shard_result_from_wire,
     shard_result_to_wire,
 )
-from repro.leishen.patterns import PatternConfig
+from repro.leishen.registry import PatternSettings
 from repro.workload.generator import WildScanConfig
 
 
@@ -98,11 +98,13 @@ class TestConfigCodec:
             seed=3,
             with_heuristic=True,
             keep_history=True,
-            pattern_config=PatternConfig(krp_min_buys=7, mbs_min_rounds=2),
+            pattern_config=PatternSettings.make(
+                params={"KRP": {"min_buys": 7}, "MBS": {"min_rounds": 2}}
+            ),
         )
         decoded = config_from_wire(config_to_wire(config))
         assert decoded == config
-        assert decoded.pattern_config.krp_min_buys == 7
+        assert decoded.pattern_config.param("KRP", "min_buys", None) == 7
 
     def test_jobs_never_crosses_the_wire(self):
         config = WildScanConfig(scale=0.01, seed=7, jobs=8)

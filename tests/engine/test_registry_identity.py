@@ -19,7 +19,6 @@ from repro.engine.wire import (
     detection_from_wire,
     detection_to_wire,
 )
-from repro.leishen.patterns import PatternConfig
 from repro.leishen.registry import ALL_PATTERN_KEYS, PatternSettings
 from repro.workload.generator import Detection, WildScanConfig
 from repro.workload.profiles import GroundTruth
@@ -42,6 +41,11 @@ class TestDigestPins:
     def test_jobs_is_not_identity(self):
         assert config_digest(WildScanConfig(jobs=8)) == DEFAULT_DIGEST
 
+    def test_explicit_default_settings_digest_as_the_default(self):
+        """One digest per default scan, however its settings are spelled."""
+        config = WildScanConfig(pattern_config=PatternSettings())
+        assert config_digest(config) == DEFAULT_DIGEST
+
 
 class TestDigestSensitivity:
     def test_enabled_set_changes_digest(self):
@@ -58,11 +62,6 @@ class TestDigestSensitivity:
                 params={"KRP": {"min_buys": 6}}
             )
         )
-        assert config_digest(base) != config_digest(tuned)
-
-    def test_legacy_threshold_changes_digest(self):
-        base = WildScanConfig(pattern_config=PatternConfig())
-        tuned = WildScanConfig(pattern_config=PatternConfig(krp_min_buys=6))
         assert config_digest(base) != config_digest(tuned)
 
     def test_registry_version_changes_digest(self):
@@ -87,11 +86,16 @@ class TestWireRoundTrips:
         assert decoded.pattern_config == settings
         assert decoded.adversarial == 4
 
-    def test_legacy_flat_config_round_trip(self):
-        config = WildScanConfig(pattern_config=PatternConfig(krp_min_buys=6))
-        decoded = config_from_wire(config_to_wire(config))
-        assert isinstance(decoded.pattern_config, PatternConfig)
-        assert decoded.pattern_config == config.pattern_config
+    def test_flat_pattern_config_payload_rejected(self):
+        """The flat four-threshold encoding older builds wrote is no
+        longer read: a v2 payload carrying it fails loudly."""
+        payload = config_to_wire(WildScanConfig())
+        payload["pattern_config"] = {
+            "krp_min_buys": 6, "sbs_min_volatility": 0.28,
+            "sbs_amount_tolerance": 0.001, "mbs_min_rounds": 3,
+        }
+        with pytest.raises(ValueError):
+            config_from_wire(payload)
 
     def test_default_payload_omits_optional_fields(self):
         payload = config_to_wire(WildScanConfig())
@@ -111,8 +115,9 @@ class TestWireRoundTrips:
         assert decoded.truth.family == "SANDWICH"
 
     def test_settings_payload_with_unknown_field_rejected(self):
+        # the default settings encode as null, so take non-default ones
         payload = config_to_wire(
-            WildScanConfig(pattern_config=PatternSettings())
+            WildScanConfig(pattern_config=PatternSettings(enabled=("KRP",)))
         )
         payload["pattern_config"]["surprise"] = 1
         with pytest.raises(ValueError, match="unknown field"):

@@ -77,6 +77,71 @@ class TestCompactEvery:
         assert "4 shard(s) resumed" in second
 
 
+class TestSeedFlag:
+    def test_scan_ledger_is_written_under_the_given_seed(self, tmp_path, capsys):
+        """``--seed`` reaches the scan: the ledger header binds seed 3."""
+        from repro.runtime import RunLedger
+        from repro.workload.generator import WildScanConfig
+
+        path = str(tmp_path / "run.ledger")
+        assert main(["scan", "--scale", "0.005", "--shards", "4",
+                     "--seed", "3", "--ledger", path]) == 0
+        capsys.readouterr()
+        replay = RunLedger.open(
+            path, config=WildScanConfig(scale=0.005, seed=3, shards=4),
+            shard_count=4,
+        )
+        replay.close()
+
+    def test_table_experiments_scan_under_the_given_seed(self, capsys):
+        # Table VII's profit figures differ between seeds 3 and 7
+        from repro.experiments import table7
+        from repro.workload.generator import WildScanConfig, WildScanner
+
+        assert main(["table7", "--scale", "0.005", "--shards", "4",
+                     "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        expected = table7.render(
+            WildScanner(WildScanConfig(scale=0.005, seed=3, shards=4)).run()
+        )
+        assert expected in out
+
+
+class TestScanConfigFlags:
+    def test_stream_windowed_recovers_split_attacks(self, capsys):
+        assert main(["stream", "--scale", "0.005", "--shards", "4",
+                     "--windowed", "--split-attacks", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "windowed recall on 1 labelled split attack(s): 100%" in out
+
+    def test_scan_profile_out_writes_the_profile(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "profile.json"
+        assert main(["scan", "--scale", "0.005", "--shards", "4",
+                     "--profile-out", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"profile written to {path}" in out
+        artifact = json.loads(path.read_text())
+        assert artifact["artifact"] == "stage_profile"
+        assert artifact["counters"]["transactions"] > 0
+        assert artifact["counters"]["prescreen_admitted"] > 0
+
+    def test_no_prescreen_admits_nothing(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        from repro.runtime.profile import DEFAULT_PROFILE_ARTIFACT
+
+        monkeypatch.chdir(tmp_path)  # --profile alone writes to the cwd
+        assert main(["scan", "--scale", "0.005", "--shards", "4",
+                     "--no-prescreen", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "stage profile" in out
+        counters = json.loads((tmp_path / DEFAULT_PROFILE_ARTIFACT).read_text())["counters"]
+        assert counters["transactions"] > 0
+        assert counters.get("prescreen_admitted", 0) == 0
+
+
 class TestStandbyCLI:
     def test_standby_adopts_a_complete_journal(self, tmp_path, capsys):
         """End-to-end --standby: the primary address is already dead and

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chain import Address
-from repro.leishen import AttackPattern, PatternConfig, PatternMatcher, Trade, TradeKind
+from repro.leishen import AttackPattern, PatternMatcher, PatternSettings, Trade, TradeKind
 
 X = Address("0x" + "aa" * 20)  # target token
 Q = Address("0x" + "bb" * 20)  # quote token
@@ -60,7 +60,7 @@ class TestKRP:
         assert not any(m.pattern == AttackPattern.KRP for m in matches)
 
     def test_threshold_configurable(self):
-        matcher = PatternMatcher(PatternConfig(krp_min_buys=3))
+        matcher = PatternMatcher(PatternSettings.make(params={"KRP": {"min_buys": 3}}))
         matches = matcher.match(self.make_series(3), BORROWER)
         assert any(m.pattern == AttackPattern.KRP for m in matches)
 
@@ -199,7 +199,7 @@ class TestMBS:
         assert tokens == {X, Q}
 
     def test_threshold_configurable(self):
-        matcher = PatternMatcher(PatternConfig(mbs_min_rounds=2))
+        matcher = PatternMatcher(PatternSettings.make(params={"MBS": {"min_rounds": 2}}))
         matches = matcher.match(self.rounds(2), BORROWER)
         assert any(m.pattern == AttackPattern.MBS for m in matches)
 

@@ -3,17 +3,17 @@
 import pytest
 
 from repro.chain import Address
-from repro.leishen import PatternConfig, PatternMatcher, Trade, TradeKind
+from repro.leishen import PatternMatcher, Trade, TradeKind
 from repro.leishen.registry import (
     ALL_PATTERN_KEYS,
-    LEGACY_FIELD_MAP,
     PAPER_PATTERN_KEYS,
     REGISTRY_VERSION,
     PatternRegistry,
     PatternSettings,
     default_registry,
-    enabled_pattern_keys,
 )
+from repro.engine.wire import config_from_wire, config_to_wire
+from repro.workload.generator import WildScanConfig
 
 X = Address("0x" + "aa" * 20)
 Q = Address("0x" + "bb" * 20)
@@ -54,29 +54,17 @@ class TestDefaultRegistry:
 
 class TestPatternSettings:
     def test_none_normalizes_to_paper_defaults(self):
-        settings = PatternSettings.from_value(None)
+        """``null`` on the config wire decodes to the paper defaults."""
+        payload = config_to_wire(WildScanConfig())
+        assert payload["pattern_config"] is None
+        settings = config_from_wire(payload).pattern_config
         assert settings == PatternSettings()
         assert settings.enabled == PAPER_PATTERN_KEYS
         assert settings.registry_version == REGISTRY_VERSION
 
     def test_settings_pass_through_unchanged(self):
         settings = PatternSettings(enabled=("KRP",))
-        assert PatternSettings.from_value(settings) is settings
-
-    def test_legacy_flat_config_maps_field_for_field(self):
-        legacy = PatternConfig(krp_min_buys=6, sbs_min_volatility=0.5)
-        settings = PatternSettings.from_value(legacy)
-        assert settings.enabled == PAPER_PATTERN_KEYS
-        for field, (key, name) in LEGACY_FIELD_MAP.items():
-            assert settings.param(key, name, None) == getattr(legacy, field)
-
-    def test_legacy_round_trips_through_settings(self):
-        legacy = PatternConfig(krp_min_buys=9, mbs_min_rounds=4)
-        assert PatternSettings.from_value(legacy).to_legacy_config() == legacy
-
-    def test_junk_value_rejected(self):
-        with pytest.raises(TypeError, match="pattern config must be"):
-            PatternSettings.from_value({"krp_min_buys": 5})
+        assert PatternMatcher(settings).settings is settings
 
     def test_make_sorts_params_structurally(self):
         a = PatternSettings.make(params={"SBS": {"min_volatility": 0.5},
@@ -84,12 +72,6 @@ class TestPatternSettings:
         b = PatternSettings.make(params={"KRP": {"min_buys": 6},
                                          "SBS": {"min_volatility": 0.5}})
         assert a == b and hash(a) == hash(b)
-
-    def test_enabled_pattern_keys_for_every_flavour(self):
-        assert enabled_pattern_keys(None) == PAPER_PATTERN_KEYS
-        assert enabled_pattern_keys(PatternConfig()) == PAPER_PATTERN_KEYS
-        custom = PatternSettings(enabled=("MINT", "KRP"))
-        assert enabled_pattern_keys(custom) == ("MINT", "KRP")
 
 
 class TestMatcherSeam:
@@ -111,9 +93,4 @@ class TestMatcherSeam:
         assert PatternMatcher().match(series, BORROWER) == []
         loose = PatternSettings.make(enabled=("KRP",), params={"KRP": {"min_buys": 4}})
         matches = PatternMatcher(loose).match(series, BORROWER)
-        assert {m.pattern for m in matches} == {"KRP"}
-
-    def test_legacy_flat_config_still_drives_thresholds(self):
-        series = self.krp_series(n=4)
-        matches = PatternMatcher(PatternConfig(krp_min_buys=4)).match(series, BORROWER)
         assert {m.pattern for m in matches} == {"KRP"}
