@@ -57,8 +57,7 @@ service-smoke:
 ## coordinator-failover survivability bench; regenerates
 ## BENCH_failover.json — SIGKILLs the forked primary mid-scan, the hot
 ## standby adopts the journal and multi-address workers reconnect
-## (identity always asserted), plus compacted-vs-uncompacted ledger
-## open timings
+## (identity always asserted)
 failover-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_smoke.py --failover
 

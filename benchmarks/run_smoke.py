@@ -65,8 +65,8 @@ identically::
 
 ``--failover`` runs the survivability bench (SIGKILL the forked primary
 coordinator mid-scan, hot standby adopts the journal, multi-address
-workers reconnect, identity always asserted; plus compacted-vs-
-uncompacted ledger open timings), regenerating ``BENCH_failover.json``::
+workers reconnect, identity always asserted), regenerating
+``BENCH_failover.json``::
 
     PYTHONPATH=src python benchmarks/run_smoke.py --failover
     PYTHONPATH=src python benchmarks/run_smoke.py --failover --autoscale
@@ -155,8 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--failover", action="store_true",
                         help="bench coordinator failover (BENCH_failover.json): "
                         "SIGKILL the forked primary mid-scan, standby adopts "
-                        "the ledger, workers fail over; plus compacted-vs-"
-                        "uncompacted ledger open timings")
+                        "the ledger, workers fail over")
     parser.add_argument("--autoscale", action="store_true",
                         help="failover only: run an ElasticPool on the adopted "
                         "coordinator as well")

@@ -2,9 +2,8 @@
 
 Kills a forked primary coordinator mid-scan (SIGKILL, no cleanup), lets
 the hot standby adopt the journal and the multi-address workers fail
-over, and writes ``BENCH_failover.json`` at the repo root — including
-compacted-vs-uncompacted ledger open timings. The identity assertions
-are always on (``run_failover_bench`` raises on any divergence); the
+over, and writes ``BENCH_failover.json`` at the repo root. The identity
+assertions are always on (``run_failover_bench`` raises on any divergence); the
 recovery-time budget only arms with ``REPRO_BENCH_STRICT=1``, like the
 other timing benches.
 """
@@ -45,22 +44,6 @@ def test_bench_failover_identity_and_counters():
     assert failover["journaled_at_kill"] >= 1
     assert failover["resumed_shards"] >= failover["journaled_at_kill"]
     assert failover["recovery_s"] >= failover["detect_s"]
-
-    # compaction: every shard count merged identically, and the
-    # compacted file is always the smaller replay (1 record vs N).
-    assert len(report["compaction_runs"]) >= 2
-    for run in report["compaction_runs"]:
-        assert run["identical"] is True
-        assert run["compacted_records"] < run["uncompacted_records"]
-    # open() cost is sublinear in journaled-shard count: the compacted
-    # open at the LARGEST shard count must undercut the uncompacted open
-    # at that same count (record count no longer scales with shards).
-    largest = max(report["compaction_runs"], key=lambda run: run["shards"])
-    assert largest["compacted_open_ms"] < largest["uncompacted_open_ms"], (
-        f"compacted open ({largest['compacted_open_ms']}ms) did not beat "
-        f"uncompacted ({largest['uncompacted_open_ms']}ms) at "
-        f"{largest['shards']} shards"
-    )
 
     if not STRICT:
         return  # timings recorded; budget enforced only under REPRO_BENCH_STRICT=1

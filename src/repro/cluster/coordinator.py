@@ -310,14 +310,8 @@ class Coordinator:
         self.profile = None
         if self.ledger is not None:
             # Seed completion from the journal (possibly another
-            # coordinator's — the hot-standby adoption path). Shards
-            # folded into a compacted snapshot prefix have no individual
-            # payload; the merge always comes from ``ledger.merge()``
-            # when a ledger is attached, so ``None`` placeholders are
-            # only ever used for membership.
-            payloads = self.ledger.completed_payloads
-            for shard in self.ledger.completed_shards():
-                self._completed[shard] = payloads.get(shard)
+            # coordinator's — the hot-standby adoption path).
+            self._completed.update(self.ledger.completed_payloads)
             self.stats.resumed_shards = len(self._completed)
         self._pending: deque[int] = deque(
             index for index in range(self.shard_count) if index not in self._completed

@@ -779,7 +779,7 @@ def _failover_primary_main(
 
 
 def _journaled_ledger_shards(path: Path) -> int:
-    """Intact journaled shards (snapshot prefix + tail; torn tail ignored)."""
+    """Intact journaled shard records (torn tail ignored)."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except (FileNotFoundError, UnicodeDecodeError):
@@ -792,8 +792,6 @@ def _journaled_ledger_shards(path: Path) -> int:
             break
         if record.get("kind") == "shard":
             count += 1
-        elif record.get("kind") == "snapshot":
-            count += record.get("shards", 0)
     return count
 
 
@@ -804,35 +802,26 @@ def run_failover_bench(
     workers: int = 2,
     autoscale: bool = False,
     task_delay: float = 0.005,
-    compact_shard_counts: tuple[int, ...] = (8, 32),
 ) -> dict:
     """The survivability benchmark: kill the primary, adopt, stay identical.
 
-    Two measured sections for ``BENCH_failover.json``:
+    For ``BENCH_failover.json``: a primary coordinator runs a journaled
+    scan in a forked child process while reconnecting workers
+    (multi-address connect list: primary + standby) execute deliberately
+    slowed shards. As soon as one shard is journaled the child is
+    SIGKILLed. The hot standby's probe detects the refused serve socket,
+    adopts the journal (resuming every journaled shard, truncating any
+    torn tail), the workers fail over through their reconnect loop —
+    optionally alongside an :class:`~repro.cluster.autoscale.ElasticPool`
+    (``autoscale=True``) on the adopted coordinator — and the scan
+    finishes. Recorded: detection/adoption/recovery wall-clock, shards
+    journaled at the kill, resumed shards, worker failovers. Where
+    ``fork`` is unavailable the kill degrades to a pre-seeded journal
+    with a never-alive primary (``"real_kill": false``).
 
-    1. **failover** — a primary coordinator runs a journaled scan in a
-       forked child process while reconnecting workers (multi-address
-       connect list: primary + standby) execute deliberately slowed
-       shards. As soon as one shard is journaled the child is SIGKILLed.
-       The hot standby's probe detects the refused serve socket, adopts
-       the journal (resuming every journaled shard, truncating any torn
-       tail), the workers fail over through their reconnect loop —
-       optionally alongside an :class:`~repro.cluster.autoscale.ElasticPool`
-       (``autoscale=True``) on the adopted coordinator — and the scan
-       finishes. Recorded: detection/adoption/recovery wall-clock,
-       shards journaled at the kill, resumed shards, worker failovers.
-       Where ``fork`` is unavailable the kill degrades to a pre-seeded
-       journal with a never-alive primary (``"real_kill": false``).
-    2. **compaction** — for each shard count, a fully journaled ledger is
-       timed through ``RunLedger.open()`` before and after compaction:
-       open cost tracks the journaled *record* count, so the compacted
-       file (one snapshot record) opens in near-constant time while the
-       uncompacted cost grows with shard count.
-
-    The identity assertions are always on: the failed-over merged result
+    The identity assertion is always on: the failed-over merged result
     must be byte-identical (wire encoding) to an uninterrupted in-process
-    run, and every compacted ledger must merge byte-identical to its
-    uncompacted self. Recovery-time budgets live in
+    run. Recovery-time budgets live in
     ``benchmarks/test_bench_failover.py`` behind ``REPRO_BENCH_STRICT=1``.
     """
     import multiprocessing
@@ -874,7 +863,7 @@ def run_failover_bench(
     uninterrupted_elapsed = time.perf_counter() - start
     reference = fingerprint(reference_result)
 
-    # -- section 1: kill the primary mid-scan, adopt, finish ------------
+    # -- kill the primary mid-scan, adopt, finish ------------------------
     can_fork = "fork" in multiprocessing.get_all_start_methods()
     with tempfile.TemporaryDirectory(prefix="repro-failover-bench-") as tmp:
         path = Path(tmp) / "run.ledger"
@@ -997,60 +986,6 @@ def run_failover_bench(
             "identical": True,
         }
 
-    # -- section 2: open()/replay cost, compacted vs uncompacted --------
-    compaction_runs = []
-    for requested in compact_shard_counts:
-        tasks = build_schedule(scale, seed)
-        count = resolve_shard_count(requested, len(tasks))
-        compact_config = WildScanConfig(scale=scale, seed=seed, shards=requested)
-        parts = shard_schedule(tasks, count)
-        with tempfile.TemporaryDirectory(prefix="repro-compact-bench-") as tmp:
-            ledger_path = Path(tmp) / "full.ledger"
-            full = RunLedger.create(ledger_path, compact_config, count)
-            for index in range(count):
-                full.record(run_shard((compact_config, index, count, parts[index])))
-            full.close()
-
-            def open_best(repeats: int = 5) -> tuple[float, "RunLedger"]:
-                best = None
-                opened = None
-                for _ in range(repeats):
-                    if opened is not None:
-                        opened.close()
-                    began = time.perf_counter()
-                    opened = RunLedger.open(
-                        ledger_path, config=compact_config, shard_count=count
-                    )
-                    elapsed = time.perf_counter() - began
-                    best = elapsed if best is None else min(best, elapsed)
-                return best, opened
-
-            uncompacted_open, opened = open_best()
-            uncompacted_fp = fingerprint(opened.merge())
-            opened.compact()  # fold the whole journal, rotate the file
-            opened.close()
-            compacted_open, opened = open_best()
-            compacted_fp = fingerprint(opened.merge())
-            opened.close()
-            if compacted_fp != uncompacted_fp:
-                raise AssertionError(
-                    f"identity violation: compaction at {count} shards "
-                    f"changed the merged result"
-                )
-        compaction_runs.append(
-            {
-                "shards": count,
-                "uncompacted_records": count,
-                "compacted_records": 1,
-                "uncompacted_open_ms": round(uncompacted_open * 1000, 3),
-                "compacted_open_ms": round(compacted_open * 1000, 3),
-                "open_speedup": round(uncompacted_open / compacted_open, 2)
-                if compacted_open
-                else None,
-                "identical": True,
-            }
-        )
-
     return {
         "benchmark": "coordinator_failover",
         "scale": scale,
@@ -1062,7 +997,6 @@ def run_failover_bench(
         "total_transactions": reference_result.total_transactions,
         "detected": reference_result.detected_count,
         "failover_run": failover_run,
-        "compaction_runs": compaction_runs,
     }
 
 

@@ -29,7 +29,6 @@ import time
 
 from ..cluster.coordinator import DEFAULT_HEARTBEAT_TIMEOUT
 from ..workload.generator import WildScanConfig, WildScanner
-from .scan import _maybe_compacting
 
 __all__ = [
     "DEFAULT_HEARTBEAT_TIMEOUT", "render_local", "render_serve", "render_standby",
@@ -82,7 +81,6 @@ def render_local(
     max_workers: int | None = None,
     verify: bool = True,
     ledger=None,
-    compact_every: int | None = None,
     profile_out=None,
 ) -> str:
     """Coordinator + ``workers`` local workers; optionally verify against
@@ -92,9 +90,8 @@ def render_local(
     ``ledger`` (a path or an open :class:`repro.runtime.RunLedger`)
     journals every completed shard; a killed coordinator resumes from
     the same path, scheduling only the shards the journal is missing.
-    ``compact_every`` folds the journal into a snapshot record every N
-    appended shards. ``config.profile`` asks every worker for its
-    per-shard stage profile (protocol v4) and prints the merged one.
+    ``config.profile`` asks every worker for its per-shard stage profile
+    (protocol v4) and prints the merged one.
     """
     from ..cluster import run_cluster_scan
 
@@ -106,7 +103,7 @@ def render_local(
         min_workers=min_workers,
         max_workers=max_workers,
         heartbeat_timeout=heartbeat_timeout,
-        ledger=_maybe_compacting(ledger, config, compact_every),
+        ledger=ledger,
     )
     elapsed = time.perf_counter() - start
     lines = _summary_lines(
@@ -141,7 +138,6 @@ def render_serve(
     port: int = 9733,
     heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
     ledger=None,
-    compact_every: int | None = None,
     profile_out=None,
 ) -> str:
     """Coordinator-only mode: wait for remote workers, then merge."""
@@ -149,7 +145,7 @@ def render_serve(
 
     coordinator = Coordinator(
         config, host=host, port=port, heartbeat_timeout=heartbeat_timeout,
-        ledger=_maybe_compacting(ledger, config, compact_every),
+        ledger=ledger,
     )
     bound_host, bound_port = coordinator.address
     print(

@@ -43,15 +43,11 @@ def _run_one(name: str, config: WildScanConfig, args, ledger: str | None) -> str
             else robustness.DEFAULT_INSTANCES,
         )
     if name == "scan":
-        return scan.render(
-            config, ledger=ledger, compact_every=args.compact_every,
-            profile_out=args.profile_out,
-        )
+        return scan.render(config, ledger=ledger, profile_out=args.profile_out)
     if name == "stream":
         return stream.render(
             config, queue_depth=args.queue_depth, block_size=args.block_size,
-            ledger=ledger, compact_every=args.compact_every,
-            profile_out=args.profile_out, windowed=args.windowed,
+            ledger=ledger, profile_out=args.profile_out, windowed=args.windowed,
             window_blocks=args.window_blocks or stream.DEFAULT_WINDOW_BLOCKS,
         )
     if name == "cluster":
@@ -66,15 +62,14 @@ def _run_one(name: str, config: WildScanConfig, args, ledger: str | None) -> str
             return cluster.render_serve(
                 config, host=args.host, port=args.port,
                 heartbeat_timeout=args.heartbeat_timeout, ledger=ledger,
-                compact_every=args.compact_every, profile_out=args.profile_out,
+                profile_out=args.profile_out,
             )
         return cluster.render_local(
             config, workers=args.workers,
             heartbeat_timeout=args.heartbeat_timeout,
             autoscale=args.autoscale, min_workers=args.min_workers,
             max_workers=args.max_workers, verify=not args.no_verify,
-            ledger=ledger, compact_every=args.compact_every,
-            profile_out=args.profile_out,
+            ledger=ledger, profile_out=args.profile_out,
         )
     raise ValueError(f"unknown experiment {name!r}")
 
@@ -323,16 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         "(like --ledger, but the file must already exist)",
     )
     parser.add_argument(
-        "--compact-every",
-        type=int,
-        metavar="N",
-        default=None,
-        help="scan/stream/cluster with --ledger/--resume: fold the "
-        "journal into a single snapshot record every N appended shards "
-        "(crash-safe rotation; replay cost stays flat instead of "
-        "growing with the shard count)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="scan/stream/cluster: collect per-stage timers/counters and "
@@ -411,18 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--ledger/--resume only apply to scan, stream and cluster")
     if args.standby and ledger is None:
         parser.error("--standby requires --ledger/--resume (the shared journal)")
-    if args.compact_every is not None:
-        if args.compact_every < 1:
-            parser.error(
-                f"--compact-every must be >= 1, got {args.compact_every}"
-            )
-        if ledger is None:
-            parser.error("--compact-every requires --ledger/--resume")
-        if args.standby:
-            parser.error(
-                "--compact-every does not apply to --standby (give it to "
-                "the primary; the standby adopts the journal as-is)"
-            )
     if args.resume:
         import os
 
@@ -440,7 +413,12 @@ def main(argv: list[str] | None = None) -> int:
         "scan", "stream", "cluster",
     ):
         parser.error("--profile/--no-prescreen only apply to scan, stream and cluster")
-    scale = 1.0 if args.full else args.scale
+    config = WildScanConfig(
+        scale=1.0 if args.full else args.scale, seed=args.seed,
+        jobs=args.jobs, shards=args.shards,
+        prescreen=not args.no_prescreen, profile=args.profile,
+        split_attacks=args.split_attacks,
+    )
 
     if args.experiment in _SERVICE_COMMANDS:
         start = time.perf_counter()
@@ -453,8 +431,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         elif args.experiment == "submit":
             output = service.render_submit(
-                args.address, scale=scale, seed=args.seed, shards=args.shards,
-                backend=args.backend, jobs=args.jobs,
+                args.address, config, backend=args.backend, jobs=args.jobs,
                 wait=args.wait, timeout=args.timeout,
             )
         elif args.experiment == "status":
@@ -469,11 +446,6 @@ def main(argv: list[str] | None = None) -> int:
         print()
         return 0
 
-    config = WildScanConfig(
-        scale=scale, seed=args.seed, jobs=args.jobs, shards=args.shards,
-        prescreen=not args.no_prescreen, profile=args.profile,
-        split_attacks=args.split_attacks,
-    )
     scanned = None
     names = list(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:

@@ -20,35 +20,19 @@ from ..workload.generator import WildScanConfig
 __all__ = ["render"]
 
 
-def _maybe_compacting(ledger, config, compact_every: int | None):
-    """Wrap a path-``ledger`` in a compacting :class:`RunLedger`."""
-    if compact_every is None:
-        return ledger
-    from ..runtime import RunLedger
-
-    if ledger is None:
-        raise ValueError("--compact-every requires --ledger/--resume")
-    if isinstance(ledger, RunLedger):
-        return ledger
-    return RunLedger.for_config(ledger, config, compact_every=compact_every)
-
-
-def render(config: WildScanConfig, ledger=None, compact_every: int | None = None,
-           profile_out=None) -> str:
+def render(config: WildScanConfig, ledger=None, profile_out=None) -> str:
     """Run the batch scan for ``config`` and summarise it.
 
     ``ledger`` is a path (or an open :class:`repro.runtime.RunLedger`):
     completed shards are journaled as they finish and already-journaled
     shards are skipped, so a killed run resumes where it left off.
-    ``compact_every`` folds the journal into a snapshot record every N
-    appended shards (``--compact-every``), keeping replay cost flat.
     ``config.prescreen``/``config.profile`` are execution knobs only —
     neither changes a result byte; a profiled run also prints the merged
     stage profile and writes it to ``profile_out`` when given.
     """
     from ..engine import ScanEngine
 
-    engine = ScanEngine(config, ledger=_maybe_compacting(ledger, config, compact_every))
+    engine = ScanEngine(config, ledger=ledger)
     start = time.perf_counter()
     result = engine.run()
     elapsed = time.perf_counter() - start

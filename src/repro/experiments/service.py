@@ -106,19 +106,17 @@ def render_serve(
 
 def render_submit(
     address: str,
-    scale: float = 0.1,
-    seed: int = 7,
-    shards: int | None = None,
+    config: WildScanConfig,
     *,
     backend: str | None = None,
     jobs: int = 1,
     wait: bool = False,
     timeout: float | None = None,
 ) -> str:
-    """Submit one scan job; with ``wait``, poll to completion and report."""
+    """Submit ``config`` as one scan job; with ``wait``, poll to
+    completion and report."""
     from ..service import ServiceClient
 
-    config = WildScanConfig(scale=scale, seed=seed, shards=shards)
     with ServiceClient(parse_address(address)) as client:
         run = client.submit(config, backend=backend, jobs=jobs)
         lines = [_run_line(run)]

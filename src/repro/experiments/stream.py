@@ -15,7 +15,6 @@ from ..engine.stream import (
     StreamEngine,
 )
 from ..workload.generator import WildScanConfig
-from .scan import _maybe_compacting
 
 __all__ = ["DEFAULT_BLOCK_SIZE", "DEFAULT_QUEUE_DEPTH", "DEFAULT_WINDOW_BLOCKS", "render"]
 
@@ -25,7 +24,6 @@ def render(
     queue_depth: int = DEFAULT_QUEUE_DEPTH,
     block_size: int = DEFAULT_BLOCK_SIZE,
     ledger=None,
-    compact_every: int | None = None,
     profile_out=None,
     windowed: bool = False,
     window_blocks: int = DEFAULT_WINDOW_BLOCKS,
@@ -39,7 +37,7 @@ def render(
         config,
         queue_depth=queue_depth,
         block_size=block_size,
-        ledger=_maybe_compacting(ledger, config, compact_every),
+        ledger=ledger,
         windowed=windowed,
         window_blocks=window_blocks,
     )

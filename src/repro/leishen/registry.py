@@ -85,16 +85,25 @@ class PatternSettings:
         params: Mapping[str, Mapping[str, float | int]] | None = None,
         registry_version: int = REGISTRY_VERSION,
     ) -> "PatternSettings":
-        """Build settings from friendly dict/list inputs."""
+        """Build settings from friendly dict/list inputs.
+
+        A param equal to its default-registry plugin's default is
+        dropped: spelling a default out is the same scan, so it must
+        carry the same ``config_digest``.
+        """
         keys = tuple(enabled) if enabled is not None else PAPER_PATTERN_KEYS
-        packed: tuple[tuple[str, tuple[tuple[str, float | int], ...]], ...] = ()
-        if params:
-            packed = tuple(
-                (key, tuple(sorted(values.items())))
-                for key, values in sorted(params.items())
-                if values
+        packed = []
+        registry = default_registry()
+        for key, values in sorted((params or {}).items()):
+            defaults = registry.get(key).defaults if key in registry.keys() else {}
+            kept = tuple(
+                (name, value)
+                for name, value in sorted(values.items())
+                if name not in defaults or defaults[name] != value
             )
-        return cls(enabled=keys, params=packed, registry_version=registry_version)
+            if kept:
+                packed.append((key, kept))
+        return cls(enabled=keys, params=tuple(packed), registry_version=registry_version)
 
     def params_for(self, key: str) -> dict[str, float | int]:
         for pattern_key, values in self.params:

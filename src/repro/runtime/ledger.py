@@ -12,21 +12,6 @@ line journals one finished shard as its lossless wire payload
     {"kind": "shard", "shard": 3, "payload": {...}}
     {"kind": "shard", "shard": 0, "payload": {...}}
 
-Long runs journal one record per shard, so replay cost at open grows
-with shard count. :meth:`RunLedger.compact` folds the contiguous
-journaled *prefix* of shards into a single ``{"kind": "snapshot"}``
-record — the prefix's merged totals, detections and pattern rows, summed
-exactly as :func:`~repro.engine.scan.merge_shard_results` would sum them
-— and rotates the file, so open/replay cost is O(tail), not O(shards)::
-
-    {"kind": "header", ...}
-    {"kind": "snapshot", "shards": 5, "generation": 1, "merged": {...}}
-    {"kind": "shard", "shard": 6, "payload": {...}}
-
-Because the merge is a left fold in shard order, merging the snapshot
-first and the tail shards after is byte-identical to merging every shard
-individually: compaction never changes a result bit.
-
 Durability guarantees — what survives a kill at each point:
 
 - **mid-append** — records are flushed and fsync'd one by one; a kill
@@ -41,24 +26,19 @@ Durability guarantees — what survives a kill at each point:
   parent directory*, closing the classic new-file durability gap where
   a crash loses the directory entry while the run believes it is
   journaled.
-- **mid-compaction** — :meth:`compact` writes the compacted journal to
-  ``<path>.<generation>``, fsyncs it, atomically renames it over
-  ``path`` and fsyncs the directory. A kill between write and rename
-  leaves the old file; between rename and directory fsync, the old or
-  the new file — both parse, never neither. Stale ``<path>.N`` leftovers
-  are cleared on the next open.
 - **anything else** — a corrupt interior line, a header from an
   unsupported ledger version, a payload with the wrong wire schema
-  version, two divergent records for the same shard, or a config whose
-  digest does not match — raises :class:`LedgerError` instead of
-  producing a wrong merge.
+  version, two divergent records for the same shard, a config whose
+  digest does not match, or a ``{"kind": "snapshot"}`` record (written
+  only by the snapshot compaction of older builds, no longer read) —
+  raises :class:`LedgerError` instead of producing a wrong merge.
 
-The merge lives behind the ledger: :meth:`RunLedger.merge` decodes the
-snapshot (if any) plus every journaled payload and feeds them to
+The merge lives behind the ledger: :meth:`RunLedger.merge` decodes every
+journaled payload and feeds them to
 :func:`~repro.engine.scan.merge_shard_results` in shard order, so a
 resumed run's result is byte-identical to an uninterrupted one — the
 codec round-trip is lossless and the merge never sees *where* a shard
-ran, *when* it was journaled, or whether its prefix was compacted.
+ran or *when* it was journaled.
 """
 
 from __future__ import annotations
@@ -73,7 +53,6 @@ from ..engine.wire import (
     config_digest,
     config_from_wire,
     config_to_wire,
-    detection_from_wire,
     shard_result_from_wire,
     shard_result_to_wire,
 )
@@ -82,11 +61,13 @@ __all__ = ["LEDGER_VERSION", "LedgerError", "RunLedger", "ensure_ledger"]
 
 #: ledger file format version; the header pins it and readers reject
 #: anything newer (the journal outlives the process that wrote it).
-#: v2: snapshot-compaction records (``{"kind": "snapshot"}``) + rotation.
+#: v2 once added snapshot-compaction records; this build neither writes
+#: nor reads them, and keeps v2 so uncompacted ledgers stay byte-identical
+#: and resumable across builds.
 LEDGER_VERSION = 2
 
-#: versions this build can still read: v1 files are a strict subset of
-#: v2 (no snapshot records ever appear in them).
+#: versions this build can still read: v1 headers journal the same
+#: shard records.
 _COMPAT_LEDGER_VERSIONS = frozenset({1, LEDGER_VERSION})
 
 
@@ -101,8 +82,7 @@ class RunLedger:
     :meth:`resume_or_create`; engines normalize path-or-ledger arguments
     through :func:`ensure_ledger`. Thread-safe appends are the caller's
     responsibility (the coordinator records under its lock; the batch
-    and stream engines record from a single thread). ``compact_every``
-    auto-compacts after that many freshly journaled shards.
+    and stream engines record from a single thread).
     """
 
     def __init__(
@@ -112,44 +92,26 @@ class RunLedger:
         shard_count: int,
         *,
         payloads: dict[int, dict] | None = None,
-        snapshot: dict | None = None,
-        header_line: str | None = None,
         fresh: bool,
-        compact_every: int | None = None,
     ) -> None:
-        if compact_every is not None and compact_every < 1:
-            raise ValueError(f"compact_every must be >= 1, got {compact_every}")
         self.path = path
         self.config = config
         self.shard_count = shard_count
         self.config_digest = config_digest(config)
-        #: shard index -> wire payload, as journaled (compacted prefix
-        #: shards live in :attr:`_snapshot` instead, never here).
+        #: shard index -> wire payload, as journaled.
         self._payloads: dict[int, dict] = payloads or {}
-        #: folded prefix: ``{"shards": k, "generation": g, "merged": {...}}``
-        #: meaning shards ``0..k-1`` are compacted into one merged payload.
-        self._snapshot: dict | None = snapshot
-        self._header_line = header_line or json.dumps(
-            self._header_dict(config, shard_count), sort_keys=True
-        )
         #: shards already in the file when it was opened (what a resume skips).
         self.resumed_count = 0 if fresh else self.completed_count
         #: shards appended by this process.
         self.recorded_count = 0
         #: idempotent re-records that were already journaled.
         self.duplicates_ignored = 0
-        #: successful :meth:`compact` rotations performed by this process.
-        self.compactions = 0
-        self.compact_every = compact_every
-        self._since_compaction = 0
         self._handle = None
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def create(
-        cls, path, config, shard_count: int, *, compact_every: int | None = None
-    ) -> "RunLedger":
+    def create(cls, path, config, shard_count: int) -> "RunLedger":
         """Start a fresh ledger at ``path`` (fails if the file exists)."""
         if shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
@@ -163,10 +125,7 @@ class RunLedger:
         # crash here can lose the whole file while the run believes its
         # shards are journaled.
         cls._fsync_dir(path.parent)
-        return cls(
-            path, config, shard_count,
-            header_line=header_line, fresh=True, compact_every=compact_every,
-        )
+        return cls(path, config, shard_count, fresh=True)
 
     @staticmethod
     def _header_dict(config, shard_count: int) -> dict:
@@ -182,14 +141,7 @@ class RunLedger:
         }
 
     @classmethod
-    def open(
-        cls,
-        path,
-        config=None,
-        shard_count: int | None = None,
-        *,
-        compact_every: int | None = None,
-    ) -> "RunLedger":
+    def open(cls, path, config=None, shard_count: int | None = None) -> "RunLedger":
         """Load an existing ledger, verifying it belongs to this scan.
 
         ``config``/``shard_count``, when given, must match the header —
@@ -241,41 +193,22 @@ class RunLedger:
                 f"config_digest={header['config_digest']}), the caller "
                 f"expects shard_count={shard_count}"
             )
-        payloads, snapshot, torn_at = cls._parse_records(
+        payloads, torn_at = cls._parse_records(
             path, lines, offsets, header["shard_count"]
         )
         if torn_at is not None:
             cls._truncate_at(path, torn_at)
-        cls._clear_stale_rotations(path)
         return cls(
             path, ledger_config, header["shard_count"],
-            payloads=payloads, snapshot=snapshot, header_line=header_line,
-            fresh=False, compact_every=compact_every,
+            payloads=payloads, fresh=False,
         )
 
     @classmethod
-    def resume_or_create(
-        cls, path, config, shard_count: int, *, compact_every: int | None = None
-    ) -> "RunLedger":
+    def resume_or_create(cls, path, config, shard_count: int) -> "RunLedger":
         """Open ``path`` when it exists (verified), else start it fresh."""
         if Path(path).exists():
-            return cls.open(
-                path, config=config, shard_count=shard_count,
-                compact_every=compact_every,
-            )
-        return cls.create(path, config, shard_count, compact_every=compact_every)
-
-    @classmethod
-    def for_config(cls, path, config, *, compact_every: int | None = None) -> "RunLedger":
-        """Resume-or-create with the shard count resolved from ``config``
-        exactly as the engines resolve it (CLI/example convenience)."""
-        from ..engine.plan import build_full_schedule
-
-        _, shard_count = build_full_schedule(config)
-        return cls.resume_or_create(
-            path, config, shard_count,
-            compact_every=compact_every,
-        )
+            return cls.open(path, config=config, shard_count=shard_count)
+        return cls.create(path, config, shard_count)
 
     # -- header / record parsing ----------------------------------------
 
@@ -315,8 +248,8 @@ class RunLedger:
     @classmethod
     def _parse_records(
         cls, path: Path, lines: list[bytes], offsets: list[int], shard_count: int
-    ) -> tuple[dict, dict | None, int | None]:
-        """Parse record lines; returns ``(payloads, snapshot, torn_at)``.
+    ) -> tuple[dict, int | None]:
+        """Parse record lines; returns ``(payloads, torn_at)``.
 
         ``torn_at`` is the byte offset of a torn trailing record (to
         truncate), ``None`` when the tail is clean. A decode failure is
@@ -325,7 +258,6 @@ class RunLedger:
         newline came from an earlier flush.
         """
         payloads: dict[int, dict] = {}
-        snapshot: dict | None = None
         torn_at: int | None = None
         for number in range(1, len(lines)):
             raw = lines[number]
@@ -351,13 +283,12 @@ class RunLedger:
                 )
             kind = record.get("kind")
             if kind == "snapshot":
-                if snapshot is not None or payloads:
-                    raise LedgerError(
-                        f"{path}: line {number + 1}: a snapshot record must be "
-                        f"the first record (compaction writes exactly one)"
-                    )
-                snapshot = cls._validate_snapshot(path, record, number + 1, shard_count)
-                continue
+                raise LedgerError(
+                    f"{path}: line {number + 1} is a snapshot record — the "
+                    f"ledger was compacted by an older build, and this build "
+                    f"no longer reads compacted ledgers; rerun the scan into "
+                    f"a new ledger"
+                )
             if kind != "shard":
                 raise LedgerError(
                     f"{path}: line {number + 1} is not a shard record"
@@ -375,8 +306,6 @@ class RunLedger:
                     f"{payload.get('v') if isinstance(payload, dict) else None!r}, "
                     f"this build speaks v{WIRE_VERSION}"
                 )
-            if snapshot is not None and shard < snapshot["shards"]:
-                continue  # already folded into the snapshot: first wins
             if shard in payloads:
                 if payloads[shard] != payload:
                     raise LedgerError(
@@ -384,39 +313,7 @@ class RunLedger:
                     )
                 continue  # identical duplicate: first wins
             payloads[shard] = payload
-        return payloads, snapshot, torn_at
-
-    @staticmethod
-    def _validate_snapshot(
-        path: Path, record: dict, line_number: int, shard_count: int
-    ) -> dict:
-        shards = record.get("shards")
-        generation = record.get("generation")
-        merged = record.get("merged")
-        if not isinstance(shards, int) or not 1 <= shards <= shard_count:
-            raise LedgerError(
-                f"{path}: line {line_number}: snapshot covers {shards!r} "
-                f"shard(s), outside 1..{shard_count}"
-            )
-        if not isinstance(generation, int) or generation < 1:
-            raise LedgerError(
-                f"{path}: line {line_number}: snapshot generation "
-                f"{generation!r} is not a positive integer"
-            )
-        if (
-            not isinstance(merged, dict)
-            or merged.get("v") != WIRE_VERSION
-            or not all(
-                field in merged
-                for field in ("total_transactions", "detections", "row_counts")
-            )
-        ):
-            raise LedgerError(
-                f"{path}: line {line_number}: snapshot merged payload is "
-                f"malformed or has the wrong wire version (this build speaks "
-                f"v{WIRE_VERSION})"
-            )
-        return {"shards": shards, "generation": generation, "merged": merged}
+        return payloads, torn_at
 
     @staticmethod
     def _truncate_at(path: Path, offset: int) -> None:
@@ -429,7 +326,7 @@ class RunLedger:
 
     @staticmethod
     def _fsync_dir(directory: Path) -> None:
-        """fsync a directory entry (new file / rename durability)."""
+        """fsync a directory entry (new-file durability)."""
         flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
         try:
             fd = os.open(directory, flags)
@@ -442,17 +339,6 @@ class RunLedger:
         finally:
             os.close(fd)
 
-    @staticmethod
-    def _clear_stale_rotations(path: Path) -> None:
-        """Remove ``<path>.N`` leftovers from a compaction that crashed
-        between write and rename (the rotation never took effect)."""
-        for sibling in path.parent.glob(path.name + ".*"):
-            if sibling.suffix[1:].isdigit():
-                try:
-                    sibling.unlink()
-                except OSError:
-                    pass
-
     # -- journaling ------------------------------------------------------
 
     def record(self, result: ShardResult) -> bool:
@@ -464,11 +350,9 @@ class RunLedger:
     def record_payload(self, shard: int, payload: dict) -> bool:
         """Journal one shard's wire payload durably (idempotent).
 
-        A shard already journaled with the same payload — or folded into
-        the compacted snapshot prefix, where the individual payload is no
-        longer held for comparison — is skipped (``False``; counted in
-        ``duplicates_ignored``): the late-result path after a resume. A
-        *different* payload for a still-held shard raises
+        A shard already journaled with the same payload is skipped
+        (``False``; counted in ``duplicates_ignored``): the late-result
+        path after a resume. A *different* payload raises
         :class:`LedgerError`: the determinism contract says that cannot
         happen, so it marks corruption, not a race.
         """
@@ -481,9 +365,6 @@ class RunLedger:
                 f"shard {shard}: refusing to journal a payload with wire "
                 f"version {payload.get('v') if isinstance(payload, dict) else None!r}"
             )
-        if self._snapshot is not None and shard < self._snapshot["shards"]:
-            self.duplicates_ignored += 1
-            return False
         existing = self._payloads.get(shard)
         if existing is not None:
             if existing != payload:
@@ -503,151 +384,23 @@ class RunLedger:
         os.fsync(self._handle.fileno())
         self._payloads[shard] = payload
         self.recorded_count += 1
-        self._since_compaction += 1
-        if (
-            self.compact_every is not None
-            and self._since_compaction >= self.compact_every
-        ):
-            self.compact()
         return True
-
-    # -- compaction ------------------------------------------------------
-
-    @property
-    def snapshot_shards(self) -> int:
-        """Shards folded into the snapshot prefix (0 when uncompacted)."""
-        return 0 if self._snapshot is None else self._snapshot["shards"]
-
-    @property
-    def generation(self) -> int:
-        """Compaction rotations this file has been through."""
-        return 0 if self._snapshot is None else self._snapshot["generation"]
-
-    def compact(self) -> bool:
-        """Fold the contiguous journaled prefix into one snapshot record.
-
-        The rotation is crash-safe: the compacted journal is written to
-        ``<path>.<generation>``, fsync'd, atomically renamed over
-        ``path``, and the directory entry fsync'd. A kill between write
-        and rename leaves the old file at ``path``; between rename and
-        directory fsync, the old or the new file — both parse, never
-        neither. Returns ``False`` when the contiguous prefix cannot be
-        extended (nothing new to fold).
-        """
-        base = self.snapshot_shards
-        extent = base
-        while extent < self.shard_count and extent in self._payloads:
-            extent += 1
-        if extent == base:
-            return False
-        merged = self._fold(
-            None if self._snapshot is None else self._snapshot["merged"],
-            [self._payloads[shard] for shard in range(base, extent)],
-        )
-        snapshot = {
-            "shards": extent,
-            "generation": self.generation + 1,
-            "merged": merged,
-        }
-        tail = {
-            shard: payload
-            for shard, payload in self._payloads.items()
-            if shard >= extent
-        }
-        # the append handle points at the soon-to-be-replaced inode;
-        # close it so the next append reopens the rotated file.
-        self.close()
-        rotated = self.path.with_name(f"{self.path.name}.{snapshot['generation']}")
-        with open(rotated, "w", encoding="utf-8") as handle:
-            handle.write(self._header_line + "\n")
-            handle.write(json.dumps({"kind": "snapshot", **snapshot}) + "\n")
-            for shard in sorted(tail):
-                handle.write(
-                    json.dumps(
-                        {"kind": "shard", "shard": shard, "payload": tail[shard]}
-                    )
-                    + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(rotated, self.path)
-        self._fsync_dir(self.path.parent)
-        self._snapshot = snapshot
-        self._payloads = tail
-        self.compactions += 1
-        self._since_compaction = 0
-        return True
-
-    @staticmethod
-    def _fold(base: dict | None, payloads: list[dict]) -> dict:
-        """Sum wire payloads in shard order, exactly as the merge would."""
-        merged = {
-            "v": WIRE_VERSION,
-            "total_transactions": 0,
-            "detections": [],
-            "row_counts": {},
-        }
-        if base is not None:
-            merged["total_transactions"] = base["total_transactions"]
-            merged["detections"] = list(base["detections"])
-            merged["row_counts"] = {
-                name: list(counts) for name, counts in base["row_counts"].items()
-            }
-        for payload in payloads:
-            merged["total_transactions"] += payload["total_transactions"]
-            merged["detections"].extend(payload["detections"])
-            for name, counts in payload["row_counts"].items():
-                row = merged["row_counts"].setdefault(name, [0, 0, 0])
-                row[0] += counts[0]
-                row[1] += counts[1]
-                row[2] += counts[2]
-        return merged
-
-    def _snapshot_result(self) -> ShardResult:
-        """The folded prefix as one pseudo shard result.
-
-        ``shard_index=-1`` sorts before every real shard, so
-        :func:`~repro.engine.scan.merge_shard_results` folds the prefix
-        first — the exact order the individual shards would have merged.
-        """
-        merged = self._snapshot["merged"]
-        return ShardResult(
-            shard_index=-1,
-            total_transactions=merged["total_transactions"],
-            detections=[detection_from_wire(d) for d in merged["detections"]],
-            row_counts={
-                name: list(counts) for name, counts in merged["row_counts"].items()
-            },
-        )
 
     # -- resume / merge --------------------------------------------------
 
     @property
     def completed_payloads(self) -> dict[int, dict]:
-        """Individually journaled shard payloads (shard index -> wire
-        dict), read-only use. Shards folded into the snapshot prefix are
-        *not* here — use :meth:`completed_shards` for the done-set."""
+        """Journaled shard payloads (shard index -> wire dict), read-only
+        use."""
         return self._payloads
 
     def completed_shards(self) -> frozenset[int]:
-        """Every journaled shard index: snapshot prefix plus tail records."""
-        done = set(self._payloads)
-        done.update(range(self.snapshot_shards))
-        return frozenset(done)
+        """Every journaled shard index."""
+        return frozenset(self._payloads)
 
     @property
     def completed_count(self) -> int:
-        # prefix and tail are disjoint by construction (record_payload
-        # never re-adds a compacted shard; open drops prefix duplicates).
-        return self.snapshot_shards + len(self._payloads)
-
-    def completed_results(self) -> dict[int, ShardResult]:
-        """Individually journaled shards decoded back to
-        :class:`ShardResult` (excludes the compacted snapshot prefix)."""
-        return {
-            shard: shard_result_from_wire(payload)
-            for shard, payload in self._payloads.items()
-        }
+        return len(self._payloads)
 
     def remaining(self) -> list[int]:
         """Shard indices still missing from the journal, ascending."""
@@ -662,13 +415,12 @@ class RunLedger:
         return self.completed_count == self.shard_count
 
     def merge(self):
-        """Decode the snapshot (if any) plus every journaled shard and
-        merge, in shard order.
+        """Decode every journaled shard and merge, in shard order.
 
         This is the single merge path for ledger-backed runs: batch,
         stream and cluster all journal first and merge from the journal,
-        which is what makes an interrupted-and-resumed run — compacted or
-        not — byte-identical to an uninterrupted one.
+        which is what makes an interrupted-and-resumed run byte-identical
+        to an uninterrupted one.
         """
         missing = self.remaining()
         if missing:
@@ -676,13 +428,10 @@ class RunLedger:
                 f"cannot merge an incomplete ledger: shard(s) {missing} "
                 f"not journaled"
             )
-        outcomes = []
-        if self._snapshot is not None:
-            outcomes.append(self._snapshot_result())
-        outcomes.extend(
+        outcomes = [
             shard_result_from_wire(self._payloads[shard])
             for shard in sorted(self._payloads)
-        )
+        ]
         return merge_shard_results(self.config, outcomes)
 
     # -- lifecycle -------------------------------------------------------
@@ -701,15 +450,12 @@ class RunLedger:
         self.close()
 
 
-def ensure_ledger(
-    ledger, config, shard_count: int, *, compact_every: int | None = None
-) -> RunLedger | None:
+def ensure_ledger(ledger, config, shard_count: int) -> RunLedger | None:
     """Normalize an engine's ``ledger`` argument.
 
     ``None`` passes through; a path resumes-or-creates; an existing
     :class:`RunLedger` is verified against this scan's ``config_digest``
-    and shard count (mismatch raises :class:`LedgerError`) and keeps its
-    own ``compact_every`` setting.
+    and shard count (mismatch raises :class:`LedgerError`).
     """
     if ledger is None:
         return None
@@ -733,6 +479,4 @@ def ensure_ledger(
                 f"config_digest={config_digest(config)})"
             )
         return ledger
-    return RunLedger.resume_or_create(
-        ledger, config, shard_count, compact_every=compact_every
-    )
+    return RunLedger.resume_or_create(ledger, config, shard_count)

@@ -232,31 +232,6 @@ class TestAdoption:
             assert standby.stats.local_fallback_shards == 2
         assert _snapshot(result) == _snapshot(cold_result)
 
-    def test_adoption_of_compacted_journal(self, tmp_path, cold_result, outcomes):
-        """Adoption works when the dead primary had compacted: the
-        snapshot prefix seeds completion membership without per-shard
-        payloads, and the ledger merge restores full identity."""
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, _config(), SHARDS)
-        for outcome in outcomes[:3]:
-            ledger.record(outcome)
-        assert ledger.compact() is True
-        ledger.close()
-
-        standby = StandbyCoordinator(
-            _config(),
-            primary=_dead_address(),
-            ledger=path,
-            probe_interval=0.02,
-            probe_failures=2,
-            coordinator_options={"local_fallback": True},
-        )
-        with standby:
-            assert standby.wait_for_primary_death(timeout=30.0)
-            result = standby.adopt_and_run(timeout=2.0)
-            assert standby.stats.resumed_shards == 3
-        assert _snapshot(result) == _snapshot(cold_result)
-
     def test_double_adopt_raises(self, tmp_path, outcomes):
         path = tmp_path / "run.ledger"
         ledger = RunLedger.create(path, _config(), SHARDS)

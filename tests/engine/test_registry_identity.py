@@ -46,6 +46,19 @@ class TestDigestPins:
         config = WildScanConfig(pattern_config=PatternSettings())
         assert config_digest(config) == DEFAULT_DIGEST
 
+    def test_explicit_default_params_digest_as_the_default(self):
+        """A threshold spelled out at its plugin default is the default
+        scan; a different threshold is still its own scan."""
+        spelled = PatternSettings.make(
+            params={"KRP": {"min_buys": 5}, "MBS": {"min_rounds": 3}}
+        )
+        assert spelled == PatternSettings()
+        assert config_digest(WildScanConfig(pattern_config=spelled)) == DEFAULT_DIGEST
+        tuned = PatternSettings.make(params={"KRP": {"min_buys": 5, "x": 1}})
+        assert tuned.params == (("KRP", (("x", 1),)),)
+        raised = PatternSettings.make(params={"KRP": {"min_buys": 6}})
+        assert config_digest(WildScanConfig(pattern_config=raised)) != DEFAULT_DIGEST
+
 
 class TestDigestSensitivity:
     def test_enabled_set_changes_digest(self):

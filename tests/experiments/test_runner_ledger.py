@@ -53,30 +53,6 @@ class TestClusterSubcommand:
         assert "4 shard(s) resumed from the journal" in second
 
 
-class TestCompactEvery:
-    def test_scan_compacts_and_resumes(self, tmp_path, capsys):
-        from repro.runtime import RunLedger
-        from repro.workload.generator import WildScanConfig
-
-        path = str(tmp_path / "run.ledger")
-        args = ["scan", "--scale", "0.005", "--shards", "4", "--ledger", path]
-        assert main([*args, "--compact-every", "2"]) == 0
-        first = capsys.readouterr().out
-        assert "4 freshly executed" in first
-
-        replay = RunLedger.open(
-            path, config=WildScanConfig(scale=0.005, seed=7, shards=4),
-            shard_count=4,
-        )
-        assert replay.snapshot_shards == 4  # fully folded journal
-        replay.close()
-
-        assert main(["scan", "--scale", "0.005", "--shards", "4",
-                     "--resume", path]) == 0
-        second = capsys.readouterr().out
-        assert "4 shard(s) resumed" in second
-
-
 class TestSeedFlag:
     def test_scan_ledger_is_written_under_the_given_seed(self, tmp_path, capsys):
         """``--seed`` reaches the scan: the ledger header binds seed 3."""
@@ -185,15 +161,6 @@ class TestFlagValidation:
         with pytest.raises(SystemExit):
             main(["cluster", "--connect", "127.0.0.1:9", "--ledger",
                   str(tmp_path / "run.ledger")])
-
-    def test_compact_every_requires_ledger(self):
-        with pytest.raises(SystemExit):
-            main(["scan", "--compact-every", "2"])
-
-    def test_compact_every_must_be_positive(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["scan", "--ledger", str(tmp_path / "run.ledger"),
-                  "--compact-every", "0"])
 
     def test_standby_requires_ledger(self):
         with pytest.raises(SystemExit):

@@ -50,6 +50,31 @@ def serving(tmp_path):
         thread.join(30)
 
 
+def test_cli_submit_sends_the_runner_config(monkeypatch, capsys):
+    """``submit`` ships the one config ``runner.main`` builds from
+    --scale/--seed/--shards; --jobs travels beside it, outside identity."""
+    from repro.engine.wire import config_digest
+    from repro.workload.generator import WildScanConfig
+
+    seen = {}
+
+    def fake_submit(address, config, **options):
+        seen.update(address=address, config=config, **options)
+        return "submitted"
+
+    monkeypatch.setattr(service_cli, "render_submit", fake_submit)
+    assert main([
+        "submit", "--address", "127.0.0.1:9", "--scale", "0.02",
+        "--seed", "3", "--shards", "2", "--jobs", "2",
+    ]) == 0
+    assert "submitted" in capsys.readouterr().out
+    assert config_digest(seen["config"]) == config_digest(
+        WildScanConfig(scale=0.02, seed=3, shards=2)
+    )
+    assert seen["jobs"] == 2
+    assert seen["address"] == "127.0.0.1:9"
+
+
 def test_cli_submit_status_results_roundtrip(serving, capsys):
     address = serving
     assert main([

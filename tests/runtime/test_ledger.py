@@ -66,6 +66,16 @@ class TestCreateOpen:
         assert reopened.remaining() == [2, 3]
         assert not reopened.is_complete
 
+    def test_open_leaves_numbered_sibling_files_alone(self, tmp_path, config):
+        """Opening a ledger touches only its own file: a user's
+        ``run.ledger.1`` beside ``run.ledger`` must survive the open."""
+        path = tmp_path / "run.ledger"
+        RunLedger.create(path, config, 4).close()
+        sibling = tmp_path / "run.ledger.1"
+        sibling.write_text("unrelated user data\n")
+        RunLedger.open(path, config=config, shard_count=4)
+        assert sibling.read_text() == "unrelated user data\n"
+
     def test_open_missing_file(self, tmp_path, config):
         with pytest.raises(LedgerError, match="no ledger"):
             RunLedger.open(tmp_path / "absent.ledger", config=config)
@@ -325,251 +335,72 @@ class TestDirectoryFsync:
         RunLedger.create(path, config, 4)
         assert synced == [path.parent]
 
-    def test_compaction_rename_fsyncs_parent_directory(
-        self, tmp_path, config, outcomes, monkeypatch
-    ):
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])
-        synced = []
-        monkeypatch.setattr(
-            RunLedger, "_fsync_dir", staticmethod(lambda d: synced.append(d))
-        )
-        assert ledger.compact() is True
-        assert synced == [path.parent]
 
-
-def _fingerprint(result) -> str:
-    """Canonical bytes of a merged result (what byte-identity means)."""
-    from repro.engine.wire import detection_to_wire
-
-    return json.dumps(
-        {
-            "total_transactions": result.total_transactions,
-            "detections": [detection_to_wire(d) for d in result.detections],
-            "rows": {
-                name: (row.n, row.tp, row.fp)
-                for name, row in sorted(result.rows.items())
-            },
+def _snapshot_record(outcome, **overrides) -> dict:
+    """A ``{"kind": "snapshot"}`` record as older builds wrote it when
+    folding a journal prefix into one line."""
+    first = shard_result_to_wire(outcome)
+    record = {
+        "kind": "snapshot", "shards": 1, "generation": 1,
+        "merged": {
+            "v": WIRE_VERSION,
+            "total_transactions": first["total_transactions"],
+            "detections": first["detections"],
+            "row_counts": first["row_counts"],
         },
-        sort_keys=True,
-    )
+    }
+    record.update(overrides)
+    return record
 
 
-class TestCompaction:
-    def test_compact_folds_prefix_and_rotates(self, tmp_path, config, outcomes):
+def _assert_snapshot_refused(path, config, records) -> None:
+    """Write ``records`` after the header and check that opening refuses
+    loudly, leaving the file untouched rather than skipping the snapshot
+    and resuming a journal with missing shards."""
+    header = path.read_text().splitlines()[0]
+    path.write_text("\n".join([header, *records]) + "\n")
+    with pytest.raises(LedgerError, match="compacted by an older build"):
+        RunLedger.open(path, config=config, shard_count=4)
+    assert path.read_text().count("\n") == len(records) + 1
+
+
+def _shard_line(outcome, shard: int) -> str:
+    return json.dumps({
+        "kind": "shard", "shard": shard,
+        "payload": shard_result_to_wire(outcome),
+    })
+
+
+class TestCompactedLedgerRefused:
+    def test_snapshot_record_refused(self, tmp_path, config, outcomes):
+        """Older builds could fold a journal prefix into one
+        ``{"kind": "snapshot"}`` record. This build does not read them."""
         path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        for outcome in outcomes[:2]:
-            ledger.record(outcome)
-        assert ledger.compact() is True
-        assert ledger.snapshot_shards == 2
-        assert ledger.generation == 1
-        assert ledger.compactions == 1
-        lines = path.read_text().splitlines()
-        assert json.loads(lines[0])["kind"] == "header"
-        snapshot = json.loads(lines[1])
-        assert snapshot["kind"] == "snapshot"
-        assert snapshot["shards"] == 2
-        assert snapshot["generation"] == 1
-        assert len(lines) == 2  # no tail yet: two shards became one record
-        assert not list(tmp_path.glob("run.ledger.*"))  # rotation renamed
-
-    def test_compact_with_no_contiguous_prefix_is_noop(
-        self, tmp_path, config, outcomes
-    ):
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[1])  # shard 1: shard 0 still missing
-        before = path.read_bytes()
-        assert ledger.compact() is False
-        assert path.read_bytes() == before
-
-    def test_compacted_ledger_reopens_with_prefix_accounted(
-        self, tmp_path, config, outcomes
-    ):
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        for outcome in outcomes[:3]:
-            ledger.record(outcome)
-        ledger.compact()
-        ledger.close()
-        resumed = RunLedger.open(path, config=config, shard_count=4)
-        assert resumed.snapshot_shards == 3
-        assert resumed.completed_shards() == frozenset({0, 1, 2})
-        assert resumed.completed_payloads == {}  # prefix holds no payloads
-        assert resumed.resumed_count == 3
-        assert resumed.remaining() == [3]
-        assert not resumed.is_complete
-        resumed.record(outcomes[3])
-        assert resumed.is_complete
-
-    def test_compacted_merge_byte_identical_to_uncompacted(
-        self, tmp_path, config, outcomes
-    ):
-        plain = RunLedger.create(tmp_path / "plain.ledger", config, 4)
-        compacted = RunLedger.create(tmp_path / "compacted.ledger", config, 4)
-        for outcome in outcomes:
-            plain.record(outcome)
-            compacted.record(outcome)
-            compacted.compact()  # fold after every record: worst case
-        assert compacted.generation == 4
-        assert _fingerprint(compacted.merge()) == _fingerprint(plain.merge())
-        # and the identity survives a reopen of the rotated file
-        compacted.close()
-        replay = RunLedger.open(
-            tmp_path / "compacted.ledger", config=config, shard_count=4
-        )
-        assert _fingerprint(replay.merge()) == _fingerprint(plain.merge())
-
-    def test_compact_extends_existing_snapshot(self, tmp_path, config, outcomes):
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])
-        ledger.compact()
-        # out-of-order completion: 2 journals while 1 is outstanding
-        ledger.record(outcomes[2])
-        assert ledger.compact() is False  # prefix can't extend past the gap
-        ledger.record(outcomes[1])
-        assert ledger.compact() is True
-        assert ledger.snapshot_shards == 3
-        assert ledger.generation == 2
-        ledger.record(outcomes[3])
-        from repro.engine.scan import merge_shard_results
-
-        assert _fingerprint(ledger.merge()) == _fingerprint(
-            merge_shard_results(config, outcomes)
-        )
-
-    def test_record_into_compacted_prefix_is_duplicate(
-        self, tmp_path, config, outcomes
-    ):
-        """A late result for a compacted shard (a dead primary's worker
-        finishing after adoption) is suppressed as a duplicate — the
-        individual payload is gone, the determinism contract stands in."""
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])
-        ledger.compact()
-        assert ledger.record(outcomes[0]) is False
-        assert ledger.duplicates_ignored == 1
-
-    def test_compact_every_auto_compacts(self, tmp_path, config, outcomes):
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4, compact_every=2)
-        for outcome in outcomes:
-            ledger.record(outcome)
-        assert ledger.compactions == 2
-        assert ledger.snapshot_shards == 4
-        assert ledger.is_complete
-        from repro.engine.scan import merge_shard_results
-
-        assert _fingerprint(ledger.merge()) == _fingerprint(
-            merge_shard_results(config, outcomes)
-        )
-
-    def test_compact_every_validated(self, tmp_path, config):
-        with pytest.raises(ValueError, match="compact_every"):
-            RunLedger.create(tmp_path / "run.ledger", config, 4, compact_every=0)
-
-    def test_appends_after_compaction_land_in_rotated_file(
-        self, tmp_path, config, outcomes
-    ):
-        """compact() must rotate the append handle too: a record written
-        through a stale handle would land in the unlinked old inode and
-        silently vanish."""
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])  # opens the append handle
-        ledger.compact()
-        ledger.record(outcomes[1])
-        ledger.close()
-        replay = RunLedger.open(path, config=config, shard_count=4)
-        assert replay.completed_shards() == frozenset({0, 1})
+        RunLedger.create(path, config, 4).close()
+        _assert_snapshot_refused(path, config, [
+            json.dumps(_snapshot_record(outcomes[0])),
+            _shard_line(outcomes[1], 1),
+        ])
 
 
 class TestCompactionCrashWindows:
-    def test_crash_between_write_and_rename_keeps_old_file(
-        self, tmp_path, config, outcomes, monkeypatch
-    ):
-        """Killed after writing ``<path>.N`` but before the rename: the
-        rotation never took effect, the old journal is intact, and the
-        leftover is cleared on the next open."""
-        import os as os_module
-
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        for outcome in outcomes[:2]:
-            ledger.record(outcome)
-        before = path.read_bytes()
-
-        def crash(src, dst):
-            raise KeyboardInterrupt("kill between write and rename")
-
-        monkeypatch.setattr(os_module, "replace", crash)
-        with pytest.raises(KeyboardInterrupt):
-            ledger.compact()
-        monkeypatch.undo()
-        assert path.read_bytes() == before  # old file: every record intact
-        assert (tmp_path / "run.ledger.1").exists()  # orphaned rotation
-        resumed = RunLedger.open(path, config=config, shard_count=4)
-        assert resumed.completed_shards() == frozenset({0, 1})
-        assert resumed.snapshot_shards == 0
-        assert not (tmp_path / "run.ledger.1").exists()  # swept on open
-
-    def test_crash_between_rename_and_dir_fsync_keeps_new_file(
-        self, tmp_path, config, outcomes, monkeypatch
-    ):
-        """Killed after the rename but before the directory fsync: the
-        new (compacted) file is what parses — never neither."""
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        for outcome in outcomes[:2]:
-            ledger.record(outcome)
-
-        def crash(directory):
-            raise KeyboardInterrupt("kill between rename and dir fsync")
-
-        monkeypatch.setattr(RunLedger, "_fsync_dir", staticmethod(crash))
-        with pytest.raises(KeyboardInterrupt):
-            ledger.compact()
-        monkeypatch.undo()
-        resumed = RunLedger.open(path, config=config, shard_count=4)
-        assert resumed.snapshot_shards == 2
-        assert resumed.completed_shards() == frozenset({0, 1})
-        for outcome in outcomes[2:]:
-            resumed.record(outcome)
-        from repro.engine.scan import merge_shard_results
-
-        assert _fingerprint(resumed.merge()) == _fingerprint(
-            merge_shard_results(config, outcomes)
-        )
+    """Snapshot records in the layouts a compaction crash or a hand edit
+    could leave behind are refused the same way as a well-formed one."""
 
     def test_snapshot_after_shard_records_raises(self, tmp_path, config, outcomes):
         path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])
-        ledger.compact()
-        ledger.record(outcomes[1])  # a tail record after the snapshot
-        ledger.close()
-        lines = path.read_text().splitlines()
-        doctored = [lines[0], lines[2], lines[1]]  # snapshot after a shard
-        path.write_text("\n".join(doctored) + "\n")
-        with pytest.raises(LedgerError, match="snapshot record must be the first"):
-            RunLedger.open(path, config=config)
+        RunLedger.create(path, config, 4).close()
+        _assert_snapshot_refused(path, config, [
+            _shard_line(outcomes[1], 1),
+            json.dumps(_snapshot_record(outcomes[0])),
+        ])
 
     def test_malformed_snapshot_raises(self, tmp_path, config, outcomes):
         path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])
-        ledger.compact()
-        ledger.close()
-        lines = path.read_text().splitlines()
-        snapshot = json.loads(lines[1])
-        snapshot["generation"] = 0
-        path.write_text("\n".join([lines[0], json.dumps(snapshot)]) + "\n")
-        with pytest.raises(LedgerError, match="generation"):
-            RunLedger.open(path, config=config)
+        RunLedger.create(path, config, 4).close()
+        _assert_snapshot_refused(path, config, [
+            json.dumps(_snapshot_record(outcomes[0], generation=0)),
+        ])
 
 
 class TestRecording:

@@ -59,8 +59,6 @@ def _journaled_shards(path) -> int:
             break
         if record.get("kind") == "shard":
             count += 1
-        elif record.get("kind") == "snapshot":
-            count += record.get("shards", 0)
     return count
 
 
@@ -110,23 +108,6 @@ def _slow_batch_main(path: str) -> None:
     ScanEngine(_config(), ledger=path).run()
 
 
-def _slow_compacting_batch_main(path: str) -> None:
-    """Child: batch engine journaling through an aggressively
-    auto-compacting ledger — every record triggers a fold-and-rotate, so
-    the SIGKILL races create/append/write-new/rename/dir-fsync."""
-    from repro.engine import scan
-
-    original = scan.execute_task
-
-    def slow_execute(ctx, task):
-        time.sleep(DELAY)
-        return original(ctx, task)
-
-    scan.execute_task = slow_execute
-    ledger = RunLedger.for_config(path, _config(), compact_every=1)
-    ScanEngine(_config(), ledger=ledger).run()
-
-
 def _slow_cluster_main(path: str) -> None:
     """Child: coordinator + two thread workers, every task slowed down."""
     from repro.cluster.local import run_cluster_scan
@@ -170,40 +151,6 @@ class TestBatchKillResume:
         assert engine.ledger.resumed_count == SHARDS
         assert engine.ledger.recorded_count == 0
         assert _snapshot(result) == _snapshot(cold_result)
-
-
-class TestCompactingKillResume:
-    def test_sigkilled_compacting_run_resumes_byte_identical(
-        self, tmp_path, cold_result
-    ):
-        """SIGKILL a run that compacts after *every* record: whatever
-        window the kill lands in — append, snapshot write, rename, or
-        directory fsync — the surviving file parses and the resumed run
-        merges byte-identical."""
-        path = tmp_path / "compacting.ledger"
-        journaled = _run_child_until_first_shard(_slow_compacting_batch_main, path)
-        assert journaled < SHARDS, "child finished before the kill landed"
-
-        reopened = RunLedger.open(path, config=_config(), shard_count=SHARDS)
-        assert len(reopened.completed_shards()) == journaled
-        reopened.close()
-
-        engine = ScanEngine(_config(), ledger=path)
-        resumed = engine.run()
-        assert engine.ledger.resumed_count == journaled
-        assert engine.ledger.recorded_count == SHARDS - journaled
-        assert _snapshot(resumed) == _snapshot(cold_result)
-
-    def test_resumed_run_can_keep_compacting(self, tmp_path, cold_result):
-        path = tmp_path / "compacting.ledger"
-        _run_child_until_first_shard(_slow_compacting_batch_main, path)
-        ledger = RunLedger.for_config(path, _config(), compact_every=1)
-        resumed = ScanEngine(_config(), ledger=ledger).run()
-        assert _snapshot(resumed) == _snapshot(cold_result)
-        ledger.close()
-        replay = RunLedger.open(path, config=_config(), shard_count=SHARDS)
-        assert replay.is_complete
-        assert replay.snapshot_shards == SHARDS  # fully folded journal
 
 
 class TestClusterKillResume:
